@@ -283,6 +283,7 @@ void ChaosDriver::CrashAndRestart() {
     abort_.store(true);
     return;
   }
+  restart_repairs_ += rs->pages_repaired_during_redo;
   RestartDaemons();
 }
 
@@ -461,6 +462,14 @@ void ChaosDriver::FireEvent(const ChaosEvent& e) {
     }
     case EventKind::kCrash: {
       RequestPause();
+      // The crash strikes right after a page-cleaner pass: the dirty pages
+      // are written back but their PriUpdates sit in the unforced log
+      // tail, so restart meets completed writes whose PRI updates were
+      // lost (Figure 12, third row).
+      Status flushed = db_->pool()->FlushAll();
+      if (!flushed.ok()) {
+        AddViolation("pre-crash write-back failed: " + flushed.ToString());
+      }
       CrashAndRestart();
       if (!abort_.load()) ShadowSweepPaused();
       ReleasePause();
@@ -652,6 +661,7 @@ ChaosReport ChaosDriver::Run(bool verbose) {
   h = DigestBytes("committed=" + std::to_string(report.committed_txns), h);
   report.shadow_digest = h;
   report.events_fired = events_fired_;
+  report.restart_repairs = restart_repairs_;
   report.final_stats = db_->Stats();
   {
     MutexLock g(violations_mu_);

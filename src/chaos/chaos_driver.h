@@ -49,6 +49,11 @@ struct ChaosReport {
   /// writer's range; hot keys excluded — see determinism contract).
   uint64_t shadow_digest = 0;
   uint64_t schedule_digest = 0;  ///< FNV-1a of the serialized schedule
+  /// Pages single-page repair healed during restart redo, summed over the
+  /// run's restarts. A crash alone damages no page, so a run without
+  /// fault events must report zero (Figure 12: a lost PriUpdate is
+  /// regenerated, not repaired).
+  uint64_t restart_repairs = 0;
   StatsSnapshot final_stats;     ///< for trace annotation / debugging
 
   bool ok() const { return violations.empty(); }
@@ -133,6 +138,7 @@ class ChaosDriver {
   std::vector<PageId> worn_pages_;
   std::unordered_map<uint64_t, PageId> stale_pages_;  ///< capture key→page
   uint64_t events_fired_ = 0;
+  uint64_t restart_repairs_ = 0;
 };
 
 }  // namespace chaos

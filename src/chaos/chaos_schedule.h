@@ -38,7 +38,8 @@ enum class EventKind : uint8_t {
   kStaleRevert,     ///< revert to the captured image (Figure 12 class)
   kFullRestore,     ///< whole-device failure + rung-5 restore, live traffic
   kBackToBackRestore,  ///< two device failures + restores in a row
-  kCrash,           ///< pause writers, SimulateCrash + Restart
+  kCrash,           ///< pause writers, write back dirty pages, crash,
+                    ///< Restart
   kCrashDuringRestore,  ///< restore fails mid-sweep, then crash, then restore
   kRelocate,        ///< retire a page location (paused; NotSupported is ok)
   kCheckpoint,      ///< fuzzy checkpoint under live traffic

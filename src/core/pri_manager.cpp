@@ -166,7 +166,11 @@ Status PriManager::ForcePageBackup(PageId id, const char* page_data,
 void PriManager::OnFullBackup(BackupId id) { pri_->RecordFullBackup(id); }
 
 void PriManager::RecordLostWrite(PageId id, Lsn page_lsn) {
+  auto entry = pri_->Lookup(id);
+  if (entry.ok() && entry->last_lsn >= page_lsn) return;
   LogAndApplyPriUpdate(id, page_lsn, /*has_backup=*/false, BackupRef());
+  MutexLock g(mu_);
+  stats_.lost_writes_regenerated++;
 }
 
 void PriManager::BuildPriPageImage(uint64_t window, char* out) {

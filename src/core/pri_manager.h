@@ -66,6 +66,7 @@ struct PriManagerStats {
   uint64_t page_backups_triggered = 0;
   uint64_t pri_pages_written = 0;
   uint64_t pri_pages_recovered = 0;
+  uint64_t lost_writes_regenerated = 0;  ///< RecordLostWrite records logged
 };
 
 /// Ties the in-memory PRI to the log, the backup manager, and the buffer
@@ -124,10 +125,11 @@ class PriManager : public WriteCompletionListener {
   /// Explicitly takes a page backup now (used by tests and the scrubber).
   Status ForcePageBackup(PageId id, const char* page_data, Lsn page_lsn);
 
-  /// Figure 12, third case: restart redo found a page already reflecting a
-  /// logged update although no PriUpdate record was seen — the write
-  /// completed but its PRI update was lost in the crash. Generates the
-  /// missing record now.
+  /// Figure 12, third case: a page already reflects a logged update that
+  /// the PRI does not certify — the write completed but its PRI update was
+  /// lost in the crash. Generates the missing record now, unless the index
+  /// already certifies `page_lsn` (or a later LSN), so every detection
+  /// site may call it and a page still gets one record.
   void RecordLostWrite(PageId id, Lsn page_lsn);
 
   PriManagerStats stats() const;

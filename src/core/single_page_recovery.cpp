@@ -1,5 +1,6 @@
 #include "core/single_page_recovery.h"
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -275,6 +276,10 @@ Status PageLsnCrossCheck::VerifyOnRead(PageView page) {
     // plausible and we cannot cheaply bound it. Accept.
     return Status::OK();
   }
+  if (page.page_lsn() > entry.last_lsn && IsLostPriUpdate(page)) {
+    pri_manager_->RecordLostWrite(page.page_id(), page.page_lsn());
+    return Status::OK();
+  }
   if (page.page_lsn() != entry.last_lsn) {
     mismatches_.fetch_add(1, std::memory_order_relaxed);
     return Status::Corruption(
@@ -284,6 +289,40 @@ Status PageLsnCrossCheck::VerifyOnRead(PageView page) {
         std::to_string(entry.last_lsn) + " (stale or forged page)");
   }
   return Status::OK();
+}
+
+void PageLsnCrossCheck::BeginRestart(Lsn durable_end, Lsn scanned_from,
+                                     PageRecords scanned) {
+  MutexLock g(window_mu_);
+  durable_end_ = durable_end;
+  scanned_from_ = scanned_from;
+  scanned_ = std::move(scanned);
+}
+
+void PageLsnCrossCheck::EndRestart() {
+  MutexLock g(window_mu_);
+  durable_end_ = kInvalidLsn;
+  scanned_ = PageRecords();
+}
+
+bool PageLsnCrossCheck::IsLostPriUpdate(PageView page) const {
+  const Lsn lsn = page.page_lsn();
+  {
+    MutexLock g(window_mu_);
+    if (lsn >= durable_end_) return false;
+    if (lsn >= scanned_from_) {
+      auto it = std::lower_bound(
+          scanned_.begin(), scanned_.end(), lsn,
+          [](const std::pair<Lsn, PageId>& r, Lsn l) { return r.first < l; });
+      return it != scanned_.end() && it->first == lsn &&
+             it->second == page.page_id();
+    }
+  }
+  // Older than the scan: a PageLSN off a record boundary fails the
+  // length/CRC parse.
+  auto rec = log_->Read(lsn);
+  return rec.ok() && IsPageReplayRecord(rec->type) &&
+         rec->page_id == page.page_id();
 }
 
 }  // namespace spf

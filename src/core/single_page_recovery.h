@@ -27,6 +27,8 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "backup/backup_manager.h"
 #include "buffer/buffer_pool.h"
@@ -163,12 +165,34 @@ class SinglePageRecovery : public PageRepairer {
 /// index is an additional consistency check that could prevent the
 /// nightmare recounted in the introduction"). Catches stale pages whose
 /// in-page checksum is valid.
+///
+/// Restart window (Figure 12, third row): a crash loses the PriUpdate
+/// records of write-backs after the last log force, so the reloaded PRI
+/// certifies an older PageLSN than the device holds. While restart runs,
+/// a page whose PageLSN is AHEAD of the PRI is accepted as such a
+/// completed write — provided the durable log holds this page's own
+/// record at exactly that PageLSN, which the WAL rule guarantees for
+/// every real write-back. The lost PriUpdate is regenerated and the page
+/// is not repaired. Every other mismatch stays a single-page failure: a
+/// PageLSN behind the PRI (stale image), past the durable log end, not on
+/// a record boundary, or naming another page's record.
 class PageLsnCrossCheck : public ReadVerifier {
  public:
-  explicit PageLsnCrossCheck(PriManager* pri_manager)
-      : pri_manager_(pri_manager) {}
+  PageLsnCrossCheck(PriManager* pri_manager, const LogManager* log)
+      : pri_manager_(pri_manager), log_(log) {}
 
   Status VerifyOnRead(PageView page) override;
+
+  /// Per-page-chain records as (LSN, page id), in ascending LSN order.
+  using PageRecords = std::vector<std::pair<Lsn, PageId>>;
+
+  /// Opens the restart window over the log that survived the crash, which
+  /// ends at `durable_end`. `scanned` holds every per-page-chain record at
+  /// or after `scanned_from` — restart analysis collects them on its pass,
+  /// so checking a PageLSN there costs no log read. An older PageLSN is
+  /// checked by reading its record.
+  void BeginRestart(Lsn durable_end, Lsn scanned_from, PageRecords scanned);
+  void EndRestart();
 
   uint64_t checks() const { return checks_.load(std::memory_order_relaxed); }
   uint64_t mismatches() const {
@@ -176,7 +200,19 @@ class PageLsnCrossCheck : public ReadVerifier {
   }
 
  private:
+  /// True when the restart window is open and the durable log holds a
+  /// per-page-chain record of this page at exactly its PageLSN.
+  bool IsLostPriUpdate(PageView page) const;
+
   PriManager* const pri_manager_;
+  const LogManager* const log_;
+  /// Restart window; consulted only for a page ahead of the PRI, so the
+  /// ordinary read path never takes this lock.
+  mutable OrderedMutex window_mu_{LockRank::kStats};
+  /// kInvalidLsn while closed: no PageLSN lies below it.
+  Lsn durable_end_ SPF_GUARDED_BY(window_mu_) = kInvalidLsn;
+  Lsn scanned_from_ SPF_GUARDED_BY(window_mu_) = kInvalidLsn;
+  PageRecords scanned_ SPF_GUARDED_BY(window_mu_);
   std::atomic<uint64_t> checks_{0};
   std::atomic<uint64_t> mismatches_{0};
 };

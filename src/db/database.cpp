@@ -160,7 +160,8 @@ void Database::BuildVolatileState() {
   spr_ = std::make_unique<SinglePageRecovery>(pri_manager_.get(), log_.get(),
                                               backups_.get(), data_.get(),
                                               &clock_);
-  cross_check_ = std::make_unique<PageLsnCrossCheck>(pri_manager_.get());
+  cross_check_ =
+      std::make_unique<PageLsnCrossCheck>(pri_manager_.get(), log_.get());
 
   RecoverySchedulerOptions rs_opts;
   rs_opts.num_workers = options_.recovery_workers;
@@ -530,12 +531,11 @@ void Database::SimulateCrash() {
 }
 
 StatusOr<RestartStats> Database::Restart() {
+  const bool pri = options_.tracking == WriteTrackingMode::kPri;
   RestartRecovery restart(log_.get(), pool_.get(), txns_.get(), tree_.get(),
                           alloc_.get(), &bbl_,
-                          options_.tracking == WriteTrackingMode::kPri
-                              ? pri_manager_.get()
-                              : nullptr,
-                          &clock_);
+                          pri ? pri_manager_.get() : nullptr,
+                          pri ? cross_check_.get() : nullptr, &clock_);
   SPF_ASSIGN_OR_RETURN(RestartStats stats, restart.Run());
   // Standard practice: checkpoint at the end of restart so the next crash
   // does not re-run this recovery.

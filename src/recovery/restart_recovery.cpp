@@ -7,29 +7,12 @@
 
 namespace spf {
 
-bool RestartRecovery::IsPageRedoType(LogRecordType type) {
-  switch (type) {
-    case LogRecordType::kPageFormat:
-    case LogRecordType::kBTreeInsert:
-    case LogRecordType::kBTreeMarkGhost:
-    case LogRecordType::kBTreeUpdate:
-    case LogRecordType::kBTreeReclaimGhost:
-    case LogRecordType::kBTreeSplit:
-    case LogRecordType::kBTreeAdopt:
-    case LogRecordType::kBTreeGrowRoot:
-    case LogRecordType::kPageMigrate:
-    case LogRecordType::kCompensation:
-      return true;
-    default:
-      return false;
-  }
-}
-
 StatusOr<RestartStats> RestartRecovery::Run() {
   RestartStats stats;
   dpt_.clear();
   losers_.clear();
   redo_scan_floor_ = kInvalidLsn;
+  scanned_page_records_.clear();
 
   // The PRI must be available before redo so that single-page failures
   // encountered while reading pages for redo can be repaired online
@@ -42,6 +25,20 @@ StatusOr<RestartStats> RestartRecovery::Run() {
     SimTimer t(clock_);
     SPF_RETURN_IF_ERROR(Analysis(&stats));
     stats.analysis_sim_seconds = t.ElapsedSeconds();
+  }
+  // Figure 12, third row: while redo and undo run, the cross-check
+  // accepts a page ahead of the PRI whose PageLSN names its own record in
+  // the log that survived the crash (regenerating the lost PriUpdate)
+  // instead of sending it to single-page repair.
+  struct RestartWindow {
+    PageLsnCrossCheck* check;
+    ~RestartWindow() {
+      if (check != nullptr) check->EndRestart();
+    }
+  } window{cross_check_};
+  if (cross_check_ != nullptr) {
+    cross_check_->BeginRestart(log_->durable_lsn(), stats.analysis_start,
+                               std::move(scanned_page_records_));
   }
   {
     SimTimer t(clock_);
@@ -72,6 +69,10 @@ Status RestartRecovery::Analysis(RestartStats* stats) {
   for (auto it = log_->Scan(start); it.Valid(); it.Next()) {
     const LogRecord& rec = it.record();
     stats->analysis_records++;
+    if (cross_check_ != nullptr && IsPageReplayRecord(rec.type) &&
+        rec.page_id != kInvalidPageId) {
+      scanned_page_records_.emplace_back(rec.lsn, rec.page_id);
+    }
 
     // Loser tracking (user transactions only; system transactions are
     // redo-only and never undone — see DESIGN.md).
@@ -183,7 +184,7 @@ Status RestartRecovery::Analysis(RestartStats* stats) {
         bbl_->Add(rec.page_id);
         break;
       default:
-        if (IsPageRedoType(rec.type) && rec.page_id != kInvalidPageId) {
+        if (IsPageReplayRecord(rec.type) && rec.page_id != kInvalidPageId) {
           if (dpt_.find(rec.page_id) == dpt_.end()) {
             dpt_[rec.page_id] = rec.lsn;
             if (redo_scan_floor_ == kInvalidLsn ||
@@ -212,12 +213,21 @@ Status RestartRecovery::Redo(RestartStats* stats) {
   }
   if (redo_start < log_->first_lsn()) redo_start = log_->first_lsn();
 
+  // Regenerations come from the skip path below, the cross-check's
+  // restart window, and repairs that found a newer backup copy.
+  auto regenerated = [this] {
+    return pri_manager_ != nullptr
+               ? pri_manager_->stats().lost_writes_regenerated
+               : 0;
+  };
   BufferPoolStats pool_before = pool_->stats();
-  std::set<PageId> lost_updates_regenerated;
+  const uint64_t regenerated_before = regenerated();
 
   for (auto it = log_->Scan(redo_start); it.Valid(); it.Next()) {
     const LogRecord& rec = it.record();
-    if (!IsPageRedoType(rec.type) || rec.page_id == kInvalidPageId) continue;
+    if (!IsPageReplayRecord(rec.type) || rec.page_id == kInvalidPageId) {
+      continue;
+    }
     stats->redo_records_considered++;
 
     auto dpt_it = dpt_.find(rec.page_id);
@@ -244,11 +254,10 @@ Status RestartRecovery::Redo(RestartStats* stats) {
       stats->redo_skipped_by_page_lsn++;
       // Figure 12, third row: the page reflects the update although
       // analysis saw no certification that raised the recLSN past it —
-      // the write completed but its PRI update was lost. Generate it.
-      if (pri_manager_ != nullptr &&
-          lost_updates_regenerated.insert(rec.page_id).second) {
+      // the write completed but its PRI update was lost. Generate it
+      // (a no-op when the cross-check already did while fixing the page).
+      if (pri_manager_ != nullptr) {
         pri_manager_->RecordLostWrite(rec.page_id, page.page_lsn());
-        stats->lost_pri_updates_regenerated++;
       }
       continue;
     }
@@ -276,6 +285,7 @@ Status RestartRecovery::Redo(RestartStats* stats) {
   stats->redo_page_reads = pool_after.misses - pool_before.misses;
   stats->pages_repaired_during_redo =
       pool_after.repairs_succeeded - pool_before.repairs_succeeded;
+  stats->lost_pri_updates_regenerated = regenerated() - regenerated_before;
   return Status::OK();
 }
 

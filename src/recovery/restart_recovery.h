@@ -16,20 +16,24 @@
 //               section 5.1.4). If a page already reflects an update whose
 //               PriUpdate record is missing, the write completed but its
 //               PRI update was lost: restart generates the missing record
-//               (Figure 12, third row). A page that fails verification
-//               during redo is repaired online by single-page recovery —
-//               the PRI was loaded before redo began (section 5.2.5).
+//               (Figure 12, third row). The same holds for a page whose
+//               PageLSN is ahead of the PRI when the durable log holds its
+//               record at that LSN — the PageLSN cross-check accepts it
+//               while restart runs instead of reporting a failure. A page
+//               that fails verification during redo is repaired online by
+//               single-page recovery — the PRI was loaded before redo
+//               began (section 5.2.5).
 //   Undo      — logical compensation of loser transactions via the shared
 //               rollback executor.
 
 #pragma once
 
 #include <map>
-#include <set>
 
 #include "btree/btree.h"
 #include "buffer/buffer_pool.h"
 #include "core/pri_manager.h"
+#include "core/single_page_recovery.h"
 #include "log/log_manager.h"
 #include "recovery/checkpoint.h"
 #include "recovery/rollback.h"
@@ -62,11 +66,13 @@ struct RestartStats {
 
 class RestartRecovery {
  public:
-  /// `pri_manager` may be null (WriteTrackingMode::kNone or
-  /// kCompletedWrites baselines).
+  /// `pri_manager` and `cross_check` may be null (WriteTrackingMode::kNone
+  /// or kCompletedWrites baselines). Run() opens `cross_check`'s restart
+  /// window for its redo and undo passes.
   RestartRecovery(LogManager* log, BufferPool* pool, TxnManager* txns,
                   BTree* tree, PageAllocator* alloc, BadBlockList* bbl,
-                  PriManager* pri_manager, SimClock* clock)
+                  PriManager* pri_manager, PageLsnCrossCheck* cross_check,
+                  SimClock* clock)
       : log_(log),
         pool_(pool),
         txns_(txns),
@@ -74,6 +80,7 @@ class RestartRecovery {
         alloc_(alloc),
         bbl_(bbl),
         pri_manager_(pri_manager),
+        cross_check_(cross_check),
         clock_(clock) {}
 
   /// Runs the three passes. On success the database is consistent:
@@ -90,8 +97,6 @@ class RestartRecovery {
   Status Redo(RestartStats* stats);
   Status Undo(RestartStats* stats);
 
-  static bool IsPageRedoType(LogRecordType type);
-
   LogManager* const log_;
   BufferPool* const pool_;
   TxnManager* const txns_;
@@ -99,6 +104,7 @@ class RestartRecovery {
   PageAllocator* const alloc_;
   BadBlockList* const bbl_;
   PriManager* const pri_manager_;
+  PageLsnCrossCheck* const cross_check_;
   SimClock* const clock_;
 
   std::map<PageId, Lsn> dpt_;  // page -> recLSN
@@ -109,6 +115,9 @@ class RestartRecovery {
   /// the floor stays a valid boundary (conservative: the scan may visit
   /// records that every entry then filters out).
   Lsn redo_scan_floor_ = kInvalidLsn;
+  /// Page records analysis scanned, handed to the cross-check's restart
+  /// window so it can confirm a PageLSN without a log read.
+  PageLsnCrossCheck::PageRecords scanned_page_records_;
 };
 
 }  // namespace spf

@@ -194,7 +194,9 @@ class Transaction {
   std::atomic<uint32_t> ops_in_flight_{0};
   TxnState state_ = TxnState::kActive;
   Lsn first_lsn_ = kInvalidLsn;
-  Lsn last_lsn_ = kInvalidLsn;
+  /// Atomic: a fuzzy checkpoint snapshots it (TxnManager::ActiveTxns)
+  /// while the owner logs.
+  std::atomic<Lsn> last_lsn_{kInvalidLsn};
   Lsn undo_next_lsn_ = kInvalidLsn;
   std::unordered_set<std::string> locked_keys_;
 };

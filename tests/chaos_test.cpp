@@ -153,6 +153,24 @@ TEST(ChaosDriverTest, ScenarioCrashDuringRestore) {
   ExpectClean(ChaosDriver(s).Run());
 }
 
+// Crash-only mix: writers, a checkpoint and repeated crashes, no fault
+// events. Every page restart redo reads is either current or behind by
+// records redo replays — none is a single-page failure, so restart must
+// repair nothing (a lost PriUpdate is regenerated, Figure 12 third row).
+TEST(ChaosDriverTest, ScenarioCrashOnlyRepairsNothing) {
+  ChaosSchedule s = SmallSchedule(304);
+  s.events.push_back({6, EventKind::kCrash, 0, 1, 0});
+  s.events.push_back({12, EventKind::kCheckpoint, 0, 1, 0});
+  s.events.push_back({18, EventKind::kCrash, 0, 1, 0});
+  s.events.push_back({26, EventKind::kCrash, 0, 1, 0});
+  s.events.push_back({34, EventKind::kCrash, 0, 1, 0});
+  s.events.push_back({42, EventKind::kQuiesce, 0, 1, 0});
+  ChaosReport report = ChaosDriver(s).Run();
+  ExpectClean(report);
+  EXPECT_EQ(report.events_fired, s.events.size());
+  EXPECT_EQ(report.restart_repairs, 0u);
+}
+
 // Regression corpus: every .chaos file in tests/chaos_seeds/ replays
 // clean, and files carrying a `# result` footer must reproduce it.
 TEST(ChaosDriverTest, SeedCorpusReplaysClean) {

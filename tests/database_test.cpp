@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <set>
 #include <string>
+#include <vector>
 
 #include "common/random.h"
 #include "db/database.h"
@@ -390,8 +392,241 @@ TEST(DatabaseTest, RestartRegeneratesLostPriUpdates) {
   auto stats = db->Restart();
   ASSERT_TRUE(stats.ok());
   EXPECT_GE(stats->lost_pri_updates_regenerated, 1u);
+  EXPECT_EQ(stats->pages_repaired_during_redo, 0u);
   EXPECT_EQ(*db->Get(Key(50)), "post-ckpt");
 }
+
+// --- restart-time PageLSN cross-check (Figure 12, third row) ---------------------
+
+PageId LeafOf(Database* db, int key) {
+  auto leaf = db->LeafPageOf(Key(key));
+  SPF_CHECK(leaf.ok()) << leaf.status().ToString();
+  return *leaf;
+}
+
+void CommitUpdate(Database* db, int key, const std::string& value) {
+  Txn t = db->BeginTxn();
+  SPF_CHECK_OK(t.Update(Key(key), value));
+  SPF_CHECK_OK(t.Commit());
+}
+
+/// The page as the buffer pool serves it (faulting it in if needed), with
+/// its checksum brought up to date as a write-back would.
+std::string PageImage(Database* db, PageId pid) {
+  auto g = db->pool()->FixPage(pid, LatchMode::kShared);
+  SPF_CHECK(g.ok()) << g.status().ToString();
+  std::string image(g->view().data(), g->view().size());
+  PageView(image.data(), image.size()).UpdateChecksum();
+  return image;
+}
+
+/// Empty when equal; otherwise where the two images first differ.
+std::string ImageDiff(const std::string& got, const std::string& want) {
+  if (got == want) return "";
+  size_t i = 0;
+  while (i < got.size() && i < want.size() && got[i] == want[i]) ++i;
+  return "images differ from byte " + std::to_string(i) + " (sizes " +
+         std::to_string(got.size()) + ", " + std::to_string(want.size()) + ")";
+}
+
+Lsn PageLsnOf(std::string image) {
+  return PageView(image.data(), image.size()).page_lsn();
+}
+
+Lsn CertifiedLsn(Database* db, PageId pid) {
+  auto entry = db->pri_manager()->pri()->Lookup(pid);
+  SPF_CHECK(entry.ok()) << entry.status().ToString();
+  return entry->last_lsn;
+}
+
+/// One key on each of the first `n` leaves among keys [0, to).
+std::vector<int> KeysOnDistinctLeaves(Database* db, int to, size_t n) {
+  std::vector<int> keys;
+  std::set<PageId> leaves;
+  for (int k = 0; k < to && keys.size() < n; ++k) {
+    if (leaves.insert(LeafOf(db, k)).second) keys.push_back(k);
+  }
+  SPF_CHECK_EQ(keys.size(), n);
+  return keys;
+}
+
+TEST(DatabaseTest, RestartAcceptsPageAheadOfOlderCertification) {
+  // The recovery drill's case: the PRI certifies an EARLIER write-back of
+  // the page (its PriUpdate is durable); the page is updated and written
+  // again, and the crash loses the second PriUpdate. The device image is
+  // current, so restart regenerates the record instead of repairing it.
+  auto db = MakeDb();
+  Load(db.get(), 0, 500);
+  ASSERT_TRUE(db->Checkpoint().ok());
+  PageId leaf = LeafOf(db.get(), 50);
+  CommitUpdate(db.get(), 50, "first");
+  ASSERT_TRUE(db->pool()->FlushPage(leaf).ok());
+  db->log()->ForceAll();  // the first PriUpdate is durable
+  Lsn older = CertifiedLsn(db.get(), leaf);
+  ASSERT_NE(older, kInvalidLsn);
+
+  CommitUpdate(db.get(), 50, "second");
+  ASSERT_TRUE(db->pool()->FlushPage(leaf).ok());  // its PriUpdate is not forced
+  std::string pre_crash = PageImage(db.get(), leaf);
+  ASSERT_GT(PageLsnOf(pre_crash), older);
+
+  db->SimulateCrash();
+  const uint64_t backup_reads = db->backup_device()->stats().page_reads;
+  auto stats = db->Restart();
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(stats->pages_repaired_during_redo, 0u);
+  EXPECT_GE(stats->lost_pri_updates_regenerated, 1u);
+  EXPECT_EQ(db->backup_device()->stats().page_reads, backup_reads);
+  EXPECT_EQ(ImageDiff(PageImage(db.get(), leaf), pre_crash), "");
+  EXPECT_EQ(*db->Get(Key(50)), "second");
+}
+
+TEST(DatabaseTest, RestartRegeneratesOnePriUpdatePerAcceptedPage) {
+  // Log-record economy: the cross-check (fixing the page) and redo's
+  // already-applied path (skipping the record) both see each page below,
+  // yet each gets exactly one regenerated PriUpdate — the same number of
+  // records the lost write-backs had logged.
+  auto db = MakeDb();
+  Load(db.get(), 0, 2000);
+  ASSERT_TRUE(db->Checkpoint().ok());
+  std::vector<int> keys = KeysOnDistinctLeaves(db.get(), 2000, 3);
+  for (int k : keys) CommitUpdate(db.get(), k, "first");
+  ASSERT_TRUE(db->FlushAll().ok());
+  db->log()->ForceAll();
+  for (int k : keys) CommitUpdate(db.get(), k, "second");
+  for (int k : keys) {
+    ASSERT_TRUE(db->pool()->FlushPage(LeafOf(db.get(), k)).ok());
+  }
+
+  db->SimulateCrash();
+  const Lsn restart_from = db->log()->tail_lsn();
+  auto stats = db->Restart();
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(stats->pages_repaired_during_redo, 0u);
+  EXPECT_GE(stats->redo_skipped_by_page_lsn, keys.size());
+
+  // Restart's own checkpoint logs covering PriUpdates for PRI pages;
+  // count only the records about data pages.
+  std::map<PageId, int> regenerated;
+  uint64_t total = 0;
+  for (auto it = db->log()->Scan(restart_from); it.Valid(); it.Next()) {
+    if (it.record().type != LogRecordType::kPriUpdate) continue;
+    auto body = DecodePriUpdate(it.record().body);
+    ASSERT_TRUE(body.ok());
+    if (db->pri_manager()->layout().IsPriPage(body->data_page_id)) continue;
+    regenerated[body->data_page_id]++;
+    total++;
+  }
+  for (int k : keys) EXPECT_EQ(regenerated[LeafOf(db.get(), k)], 1) << k;
+  EXPECT_EQ(total, stats->lost_pri_updates_regenerated);
+}
+
+TEST(DatabaseTest, CrossCheckAcceptsAheadOnlyInRestartWindowUpToDurableEnd) {
+  // Drives the cross-check directly on a live database: the page's
+  // PageLSN names its own record, appended but not yet forced. No
+  // analysis index is handed over, so the window reads the record.
+  auto db = MakeDb();
+  Load(db.get(), 0, 500);
+  ASSERT_TRUE(db->Checkpoint().ok());
+  const PageId leaf = LeafOf(db.get(), 50);
+  CommitUpdate(db.get(), 50, "certified");
+  ASSERT_TRUE(db->pool()->FlushPage(leaf).ok());
+  db->log()->ForceAll();
+  ASSERT_NE(CertifiedLsn(db.get(), leaf), kInvalidLsn);
+  Txn t = db->BeginTxn();
+  ASSERT_TRUE(t.Update(Key(50), "unforced").ok());
+  std::string image = PageImage(db.get(), leaf);
+  PageView page(image.data(), image.size());
+  const Lsn durable_end = db->log()->durable_lsn();
+  ASSERT_GT(page.page_lsn(), CertifiedLsn(db.get(), leaf));
+  ASSERT_GE(page.page_lsn(), durable_end);
+
+  PageLsnCrossCheck* check = db->cross_check();
+  EXPECT_TRUE(check->VerifyOnRead(page).IsCorruption());  // window closed
+  check->BeginRestart(durable_end, durable_end, {});
+  EXPECT_TRUE(check->VerifyOnRead(page).IsCorruption());  // not durable
+  // The same record inside the durable log is a completed write whose
+  // PriUpdate was lost: accepted, and the PRI catches up.
+  const Lsn tail = db->log()->tail_lsn();
+  check->BeginRestart(tail, tail, {});
+  EXPECT_TRUE(check->VerifyOnRead(page).ok());
+  check->EndRestart();
+  EXPECT_EQ(CertifiedLsn(db.get(), leaf), page.page_lsn());
+  ASSERT_TRUE(t.Abort().ok());
+}
+
+// Negative oracles: the restart window accepts a page AHEAD of the PRI
+// only when its PageLSN names this page's own record in the durable log.
+// Every other checksum-valid mismatch is still a single-page failure,
+// detected while redo reads the page and repaired to the correct bytes.
+enum class Forgery { kStale, kPastDurableEnd, kOtherPagesRecord, kOffBoundary };
+
+class RestartCrossCheckTest : public ::testing::TestWithParam<Forgery> {};
+
+TEST_P(RestartCrossCheckTest, MismatchIsRepairedDuringRestart) {
+  auto db = MakeDb();
+  Load(db.get(), 0, 500);
+  ASSERT_TRUE(db->Checkpoint().ok());
+  const std::vector<int> keys = KeysOnDistinctLeaves(db.get(), 500, 2);
+  const PageId leaf = LeafOf(db.get(), keys[0]);
+  const PageId other = LeafOf(db.get(), keys[1]);
+  const uint32_t page_size = db->data_device()->page_size();
+
+  CommitUpdate(db.get(), keys[0], "first");
+  ASSERT_TRUE(db->pool()->FlushPage(leaf).ok());
+  std::string stale(page_size, '\0');
+  db->data_device()->RawRead(leaf, stale.data());
+  CommitUpdate(db.get(), keys[0], "second");
+  ASSERT_TRUE(db->pool()->FlushPage(leaf).ok());
+  db->log()->ForceAll();  // the PRI durably certifies "second"
+  const Lsn certified = CertifiedLsn(db.get(), leaf);
+  // One more committed update that only redo can bring back, and a
+  // durable record of another page that is newer than the certification.
+  CommitUpdate(db.get(), keys[1], "other");
+  CommitUpdate(db.get(), keys[0], "third");
+  const std::string pre_crash = PageImage(db.get(), leaf);
+  const Lsn other_lsn = PageLsnOf(PageImage(db.get(), other));
+  const Lsn own_lsn = PageLsnOf(pre_crash);
+  const Lsn durable_end = db->log()->durable_lsn();
+  ASSERT_GT(other_lsn, certified);
+  ASSERT_LT(own_lsn + 1, durable_end);
+
+  // Forge the device image: checksum-valid, PageLSN off the certification.
+  std::string image(page_size, '\0');
+  db->data_device()->RawRead(leaf, image.data());
+  PageView forged(image.data(), page_size);
+  switch (GetParam()) {
+    case Forgery::kStale:
+      image = stale;
+      break;
+    case Forgery::kPastDurableEnd:
+      forged.set_page_lsn(durable_end + 4096);
+      break;
+    case Forgery::kOtherPagesRecord:
+      forged.set_page_lsn(other_lsn);
+      break;
+    case Forgery::kOffBoundary:
+      forged.set_page_lsn(own_lsn + 1);
+      break;
+  }
+  PageView(image.data(), page_size).UpdateChecksum();
+  db->data_device()->RawWrite(leaf, image.data());
+
+  db->SimulateCrash();
+  auto stats = db->Restart();
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_GE(db->cross_check()->mismatches(), 1u);
+  EXPECT_EQ(stats->pages_repaired_during_redo, 1u);
+  EXPECT_EQ(ImageDiff(PageImage(db.get(), leaf), pre_crash), "");
+  EXPECT_EQ(*db->Get(Key(keys[0])), "third");
+  ASSERT_TRUE(db->CheckOffline(nullptr).ok());
+}
+
+INSTANTIATE_TEST_SUITE_P(Forgeries, RestartCrossCheckTest,
+                         ::testing::Values(Forgery::kStale,
+                                           Forgery::kPastDurableEnd,
+                                           Forgery::kOtherPagesRecord,
+                                           Forgery::kOffBoundary));
 
 TEST(DatabaseTest, RestartRedoesRecordsAfterMidWorkloadFlush) {
   // Regression test: a FLUSHED page's write certification raises its
