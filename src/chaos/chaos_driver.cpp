@@ -460,15 +460,19 @@ void ChaosDriver::FireEvent(const ChaosEvent& e) {
       }
       return;
     }
-    case EventKind::kCrash: {
+    case EventKind::kCrash:
+    case EventKind::kWriteBackCrash: {
       RequestPause();
-      // The crash strikes right after a page-cleaner pass: the dirty pages
-      // are written back but their PriUpdates sit in the unforced log
-      // tail, so restart meets completed writes whose PRI updates were
-      // lost (Figure 12, third row).
-      Status flushed = db_->pool()->FlushAll();
-      if (!flushed.ok()) {
-        AddViolation("pre-crash write-back failed: " + flushed.ToString());
+      if (e.kind == EventKind::kWriteBackCrash) {
+        // The crash strikes right after a page-cleaner pass: the dirty
+        // pages are written back but their PriUpdates sit in the unforced
+        // log tail, so restart meets completed writes whose PRI updates
+        // were lost (Figure 12, third row). Plain kCrash keeps the dirty
+        // pages in the pool, so its restart replays them.
+        Status flushed = db_->pool()->FlushAll();
+        if (!flushed.ok()) {
+          AddViolation("pre-crash write-back failed: " + flushed.ToString());
+        }
       }
       CrashAndRestart();
       if (!abort_.load()) ShadowSweepPaused();

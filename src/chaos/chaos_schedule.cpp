@@ -30,6 +30,7 @@ constexpr KindName kKindNames[] = {
     {EventKind::kCheckpoint, "checkpoint"},
     {EventKind::kBackup, "backup"},
     {EventKind::kQuiesce, "quiesce"},
+    {EventKind::kWriteBackCrash, "writeback-crash"},
 };
 
 }  // namespace

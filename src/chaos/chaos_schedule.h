@@ -38,13 +38,14 @@ enum class EventKind : uint8_t {
   kStaleRevert,     ///< revert to the captured image (Figure 12 class)
   kFullRestore,     ///< whole-device failure + rung-5 restore, live traffic
   kBackToBackRestore,  ///< two device failures + restores in a row
-  kCrash,           ///< pause writers, write back dirty pages, crash,
-                    ///< Restart
+  kCrash,           ///< pause writers, SimulateCrash + Restart
   kCrashDuringRestore,  ///< restore fails mid-sweep, then crash, then restore
   kRelocate,        ///< retire a page location (paused; NotSupported is ok)
   kCheckpoint,      ///< fuzzy checkpoint under live traffic
   kBackup,          ///< full backup under live traffic
   kQuiesce,         ///< pause + run the full online-invariant suite
+  kWriteBackCrash,  ///< pause writers, write back dirty pages, crash
+                    ///< before their PriUpdates are forced, Restart
 };
 
 /// Stable DSL name of an event kind ("corrupt", "crash-during-restore"...).

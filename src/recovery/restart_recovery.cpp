@@ -40,6 +40,15 @@ StatusOr<RestartStats> RestartRecovery::Run() {
     cross_check_->BeginRestart(log_->durable_lsn(), stats.analysis_start,
                                std::move(scanned_page_records_));
   }
+  // Regenerated PriUpdates over the whole window: redo's skip path, the
+  // cross-check, and single-page repairs that recovered an image newer
+  // than the PRI certifies (FinishRepair) all count.
+  auto regenerated = [this] {
+    return pri_manager_ != nullptr
+               ? pri_manager_->stats().lost_writes_regenerated
+               : 0;
+  };
+  const uint64_t regenerated_before = regenerated();
   {
     SimTimer t(clock_);
     SPF_RETURN_IF_ERROR(Redo(&stats));
@@ -50,6 +59,7 @@ StatusOr<RestartStats> RestartRecovery::Run() {
     SPF_RETURN_IF_ERROR(Undo(&stats));
     stats.undo_sim_seconds = t.ElapsedSeconds();
   }
+  stats.lost_pri_updates_regenerated = regenerated() - regenerated_before;
   return stats;
 }
 
@@ -213,15 +223,7 @@ Status RestartRecovery::Redo(RestartStats* stats) {
   }
   if (redo_start < log_->first_lsn()) redo_start = log_->first_lsn();
 
-  // Regenerations come from the skip path below, the cross-check's
-  // restart window, and repairs that found a newer backup copy.
-  auto regenerated = [this] {
-    return pri_manager_ != nullptr
-               ? pri_manager_->stats().lost_writes_regenerated
-               : 0;
-  };
   BufferPoolStats pool_before = pool_->stats();
-  const uint64_t regenerated_before = regenerated();
 
   for (auto it = log_->Scan(redo_start); it.Valid(); it.Next()) {
     const LogRecord& rec = it.record();
@@ -285,7 +287,6 @@ Status RestartRecovery::Redo(RestartStats* stats) {
   stats->redo_page_reads = pool_after.misses - pool_before.misses;
   stats->pages_repaired_during_redo =
       pool_after.repairs_succeeded - pool_before.repairs_succeeded;
-  stats->lost_pri_updates_regenerated = regenerated() - regenerated_before;
   return Status::OK();
 }
 

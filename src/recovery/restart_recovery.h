@@ -54,7 +54,11 @@ struct RestartStats {
   uint64_t redo_skipped_by_dpt = 0;        ///< never read the page (Fig. 4 win)
   uint64_t redo_skipped_by_page_lsn = 0;   ///< read, found already applied
   uint64_t redo_page_reads = 0;            ///< buffer faults during redo
-  uint64_t lost_pri_updates_regenerated = 0;  ///< Figure 12 third row
+  /// Figure 12, third row: PriUpdates regenerated while redo and undo ran
+  /// — pages the cross-check accepted, pages redo found already current,
+  /// and single-page repairs that recovered an image newer than the PRI
+  /// certified.
+  uint64_t lost_pri_updates_regenerated = 0;
   uint64_t pages_repaired_during_redo = 0;
 
   uint64_t undo_records = 0;

@@ -154,16 +154,17 @@ TEST(ChaosDriverTest, ScenarioCrashDuringRestore) {
 }
 
 // Crash-only mix: writers, a checkpoint and repeated crashes, no fault
-// events. Every page restart redo reads is either current or behind by
-// records redo replays — none is a single-page failure, so restart must
-// repair nothing (a lost PriUpdate is regenerated, Figure 12 third row).
+// events. Write-back crashes leave completed writes whose PriUpdates were
+// in the lost log tail; plain crashes leave dirty pages for redo to
+// replay. Neither is a single-page failure, so restart must repair
+// nothing (a lost PriUpdate is regenerated, Figure 12 third row).
 TEST(ChaosDriverTest, ScenarioCrashOnlyRepairsNothing) {
   ChaosSchedule s = SmallSchedule(304);
-  s.events.push_back({6, EventKind::kCrash, 0, 1, 0});
+  s.events.push_back({6, EventKind::kWriteBackCrash, 0, 1, 0});
   s.events.push_back({12, EventKind::kCheckpoint, 0, 1, 0});
   s.events.push_back({18, EventKind::kCrash, 0, 1, 0});
-  s.events.push_back({26, EventKind::kCrash, 0, 1, 0});
-  s.events.push_back({34, EventKind::kCrash, 0, 1, 0});
+  s.events.push_back({26, EventKind::kWriteBackCrash, 0, 1, 0});
+  s.events.push_back({34, EventKind::kWriteBackCrash, 0, 1, 0});
   s.events.push_back({42, EventKind::kQuiesce, 0, 1, 0});
   ChaosReport report = ChaosDriver(s).Run();
   ExpectClean(report);

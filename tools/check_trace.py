@@ -46,6 +46,7 @@ EVENT_KINDS = [
     "checkpoint",
     "backup",
     "quiesce",
+    "writeback-crash",
 ]
 
 # (key, default) in canonical serialization order — mirrors
