@@ -140,6 +140,19 @@ inline std::unique_ptr<Database> MakeLoadedDb(DatabaseOptions options, int n,
   return db;
 }
 
+/// Size of the page set a full restore of `db` brings back: every
+/// allocated page plus every page only the latest full backup holds.
+inline uint64_t RestoreSetSize(Database* db) {
+  uint64_t size = db->allocator()->allocated_count();
+  auto backup = db->backups()->latest_full_backup();
+  if (backup.has_value()) {
+    for (PageId p : backup->pages) {
+      if (!db->allocator()->IsAllocated(p)) size++;
+    }
+  }
+  return size;
+}
+
 /// Builds a database with a full backup and interleaved per-page log
 /// chains, then collects up to `burst` victim leaf pages: each of
 /// `rounds` transactions updates one key per stride, so different pages'

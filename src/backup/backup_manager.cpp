@@ -26,13 +26,22 @@ void BackupManager::SetFullBackupVerification(
   repair_ = std::move(repair);
 }
 
-StatusOr<FullBackupInfo> BackupManager::TakeFullBackup(Lsn backup_lsn) {
+StatusOr<FullBackupInfo> BackupManager::TakeFullBackup(
+    Lsn backup_lsn, std::vector<PageId> pages) {
+  for (size_t i = 0; i < pages.size(); ++i) {
+    if (pages[i] >= data_pages_) {
+      return Status::InvalidArgument("page out of range");
+    }
+    if (i > 0 && pages[i] <= pages[i - 1]) {
+      return Status::InvalidArgument("pages must be ascending");
+    }
+  }
   // Backup LSN first: the log from here forward, plus this image, can
   // reconstruct any later state.
   log_->ForceAll();
   if (backup_lsn == kInvalidLsn) backup_lsn = log_->durable_lsn();
   std::vector<char> buf(page_size_);
-  for (PageId p = 0; p < data_pages_; ++p) {
+  for (PageId p : pages) {
     // Never copy a bad image over the only backup of this page: a read
     // failure or a failed in-page verification routes the page through
     // repair (which may itself consult the page's old backup image —
@@ -53,10 +62,10 @@ StatusOr<FullBackupInfo> BackupManager::TakeFullBackup(Lsn backup_lsn) {
     SPF_RETURN_IF_ERROR(backup_device_->WritePage(p, buf.data()));
   }
   MutexLock g(mu_);
-  FullBackupInfo info{next_backup_id_++, backup_lsn, data_pages_};
-  full_backup_ = info;
+  full_backup_ =
+      FullBackupInfo{next_backup_id_++, backup_lsn, std::move(pages)};
   stats_.full_backups++;
-  return info;
+  return *full_backup_;
 }
 
 std::optional<FullBackupInfo> BackupManager::latest_full_backup() const {
@@ -72,29 +81,21 @@ Status BackupManager::ReadFromFullBackup(BackupId backup, PageId id,
       return Status::NotFound("full backup not available");
     }
     if (id >= data_pages_) return Status::InvalidArgument("page out of range");
+    if (!full_backup_->Contains(id)) {
+      return Status::NotFound("page not in the full backup");
+    }
     stats_.backup_reads++;
   }
   return backup_device_->ReadPage(id, out);
 }
 
-StatusOr<uint64_t> BackupManager::RestoreFullBackup(BackupId backup,
-                                                    SimDevice* target) {
-  {
-    MutexLock g(mu_);
-    if (!full_backup_ || full_backup_->id != backup) {
-      return Status::NotFound("full backup not available");
-    }
-  }
-  std::vector<char> buf(page_size_);
-  for (PageId p = 0; p < data_pages_; ++p) {
-    SPF_RETURN_IF_ERROR(backup_device_->ReadPage(p, buf.data()));
-    SPF_RETURN_IF_ERROR(target->WritePage(p, buf.data()));
-  }
-  return data_pages_;
-}
-
 StatusOr<uint64_t> BackupManager::ReadPagesFromFullBackup(
-    BackupId backup, const std::vector<PageId>& pages, char* const* frames) {
+    BackupId backup, const std::vector<PageId>& pages, char* const* frames,
+    std::vector<Status>* page_status) {
+  std::vector<Status> local;
+  std::vector<Status>& status = page_status != nullptr ? *page_status : local;
+  status.assign(pages.size(), Status::OK());
+  std::vector<size_t> reads;  // indices of the pages the backup copied
   {
     MutexLock g(mu_);
     if (!full_backup_ || full_backup_->id != backup) {
@@ -107,15 +108,36 @@ StatusOr<uint64_t> BackupManager::ReadPagesFromFullBackup(
       if (i > 0 && pages[i] <= pages[i - 1]) {
         return Status::InvalidArgument("pages must be ascending");
       }
+      if (full_backup_->Contains(pages[i])) {
+        reads.push_back(i);
+      } else {
+        status[i] = Status::NotFound("page not in the full backup");
+      }
     }
-    stats_.backup_reads += pages.size();
+    stats_.backup_reads += reads.size();
   }
-  uint64_t runs = 0;
-  for (size_t i = 0; i < pages.size(); ++i) {
-    if (i == 0 || pages[i] != pages[i - 1] + 1) runs++;
-    SPF_RETURN_IF_ERROR(backup_device_->ReadPage(pages[i], frames[i]));
+
+  // Bridge a gap while reading through it is cheaper than repositioning.
+  const DeviceProfile& profile = backup_device_->profile();
+  const uint64_t page_ns = profile.TransferNanos(page_size_);
+  std::vector<char> discard(page_size_);
+  uint64_t streams = 0;
+  for (size_t k = 0; k < reads.size(); ++k) {
+    const size_t i = reads[k];
+    const uint64_t gap = k == 0 ? 0 : pages[i] - pages[reads[k - 1]] - 1;
+    if (k == 0 || (gap > 0 && gap * page_ns >= profile.random_access_ns)) {
+      streams++;
+    } else {
+      for (PageId p = pages[i] - gap; p < pages[i]; ++p) {
+        (void)backup_device_->ReadPage(p, discard.data());
+      }
+    }
+    status[i] = backup_device_->ReadPage(pages[i], frames[i]);
   }
-  return runs;
+  if (page_status == nullptr) {
+    for (const Status& s : local) SPF_RETURN_IF_ERROR(s);
+  }
+  return streams;
 }
 
 StatusOr<PageId> BackupManager::TakePageBackup(PageId id,

@@ -14,6 +14,7 @@
 
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -45,10 +46,18 @@ struct BackupPolicy {
 /// Identifies a full database backup.
 using BackupId = uint64_t;
 
+/// Catalog entry of a full backup. The catalog models stable storage, so
+/// the entry (page set included) survives crashes.
 struct FullBackupInfo {
-  BackupId id;
-  Lsn backup_lsn;        ///< log position when the backup was taken
-  uint64_t num_pages;
+  BackupId id;                ///< catalog id, increasing per backup
+  Lsn backup_lsn;             ///< log position when the backup was taken
+  std::vector<PageId> pages;  ///< ids the backup copied, ascending
+
+  /// True when the backup holds an image of page `id`. Every other slot
+  /// of the full-backup region is stale and is never handed out.
+  bool Contains(PageId id) const {
+    return std::binary_search(pages.begin(), pages.end(), id);
+  }
 };
 
 struct BackupStats {
@@ -59,8 +68,9 @@ struct BackupStats {
   uint64_t backup_reads = 0;
 };
 
-/// Manages the backup device: full backups (sequential image of the data
-/// device) and an allocate-then-free store of individual page copies.
+/// Manages the backup device: full backups (images of the data device's
+/// allocated pages, each in the slot of its page id) and an
+/// allocate-then-free store of individual page copies.
 /// Thread-safe.
 class BackupManager {
  public:
@@ -74,9 +84,14 @@ class BackupManager {
 
   // --- full backups ----------------------------------------------------------
 
-  /// Takes a full backup: sequentially copies every data page to the
-  /// backup device. The caller must have flushed the buffer pool (sharp
-  /// backup). Returns the backup descriptor.
+  /// Takes a full backup of the data pages `pages` (ascending, unique,
+  /// in range): copies each one, in id order, to its slot of the backup
+  /// device and records the set in the catalog. Database passes the
+  /// allocator's snapshot, taken after `backup_lsn` is fixed, so a page
+  /// outside the set is either never allocated or born after the backup
+  /// (its kPageFormat record lies above `backup_lsn`). The caller must
+  /// have flushed the buffer pool (sharp backup). Returns the backup
+  /// descriptor.
   ///
   /// The old backup is overwritten in place, one page at a time, so the
   /// "never overwrite the old backup page before the new one exists" rule
@@ -94,7 +109,8 @@ class BackupManager {
   /// BEFORE the flush and pass it in (Database::TakeFullBackup) — with
   /// kInvalidLsn the manager captures the durable LSN itself, which is
   /// only correct when no write-back cache sits above the data device.
-  StatusOr<FullBackupInfo> TakeFullBackup(Lsn backup_lsn = kInvalidLsn);
+  StatusOr<FullBackupInfo> TakeFullBackup(Lsn backup_lsn,
+                                          std::vector<PageId> pages);
 
   /// Installs full-backup page verification. `verifiable` selects pages
   /// that carry the standard page format (allocated, not PRI, not
@@ -108,21 +124,29 @@ class BackupManager {
   std::optional<FullBackupInfo> latest_full_backup() const;
 
   /// Reads page `id`'s image from full backup `backup` into `out`.
+  /// NotFound when there is no such backup or it did not copy `id`.
   Status ReadFromFullBackup(BackupId backup, PageId id, char* out);
 
-  /// Sequentially restores every page of full backup `backup` onto
-  /// `target` (media recovery, section 5.1.3). Returns pages restored.
-  StatusOr<uint64_t> RestoreFullBackup(BackupId backup, SimDevice* target);
-
   /// Reads each page of `pages` (ascending, deduplicated) from full backup
-  /// `backup` into `frames[i]`. Runs of consecutive ids cost sequential
-  /// backup I/O, so a bounded damaged set is read as a handful of
-  /// sequential range scans instead of scattered point reads — the access
-  /// pattern of partial media restore ("instant restore", Sauer et al.).
-  /// Returns the number of contiguous runs (sequential read streams).
-  StatusOr<uint64_t> ReadPagesFromFullBackup(BackupId backup,
-                                             const std::vector<PageId>& pages,
-                                             char* const* frames);
+  /// `backup` into `frames[i]` — the one sorted backup reader of every
+  /// batched rung (batch repair, partial restore, full restore). Pages
+  /// are read in id order, so runs of consecutive ids cost sequential
+  /// backup I/O. A gap of g pages between two reads is read through and
+  /// discarded when g transfers cost less than one positioning of the
+  /// backup device (g * TransferNanos(page) < random_access_ns: about
+  /// 122 8-KiB pages on Hdd100, never on Instant). Bridged pages never
+  /// reach a frame and their read status is ignored.
+  ///
+  /// With `page_status` non-null it is resized to `pages.size()` and
+  /// receives each page's outcome (NotFound for a page the backup did not
+  /// copy, the device error for a failed read); a failed page never fails
+  /// its neighbours. With it null, the first page error is returned.
+  /// Errors about the request itself (unknown backup, unsorted or
+  /// out-of-range ids) are returned either way, before any I/O.
+  /// Returns the number of sequential read streams (positionings).
+  StatusOr<uint64_t> ReadPagesFromFullBackup(
+      BackupId backup, const std::vector<PageId>& pages, char* const* frames,
+      std::vector<Status>* page_status = nullptr);
 
   // --- per-page backup copies -------------------------------------------------
 

@@ -498,9 +498,15 @@ void ChaosDriver::FireEvent(const ChaosEvent& e) {
       for (PageId p = 0; p < std::min<uint64_t>(seg, total); ++p) {
         db_->data_device()->RawWrite(p, zeros.data());
       }
-      // ...and the backup image of a mid-device segment is unreadable,
-      // so the sweep fails after segment 0 but before the end.
-      uint64_t mid = std::min(total - 1, (total / 2 / seg) * seg);
+      // ...and the backup images of the segment holding the backup's
+      // median page are unreadable, so the sweep fails after segment 0
+      // but before the end. (A segment without backup pages reads
+      // nothing from the backup device, so poisoning one fails nothing.)
+      auto backup = db_->backups()->latest_full_backup();
+      const PageId median = backup.has_value() && !backup->pages.empty()
+                                ? backup->pages[backup->pages.size() / 2]
+                                : total / 2;
+      uint64_t mid = (median / seg) * seg;
       uint64_t cnt = std::min<uint64_t>(seg, total - mid);
       db_->backup_device()->FailPageRange(mid, cnt);
       auto r1 = db_->RecoverMedia();

@@ -297,9 +297,10 @@ BatchRepairResult RecoveryScheduler::RepairBatched(
 
   // --- phase 1: backup loads, grouped by backup source ----------------------
   // Pages restored from the same source are read in ascending location
-  // order (for a full backup that is page-id order — sequential backup
-  // I/O, a partial restore). Groups fan out across the worker pool; each
-  // group runs in order on one worker to keep its access pattern.
+  // order (for a full backup, one pass of its sorted reader — sequential
+  // runs with short gaps read through, a partial restore). Groups fan out
+  // across the worker pool; each group runs in order on one worker to
+  // keep its access pattern.
   std::vector<size_t> order;
   for (size_t i = 0; i < tasks->size(); ++i) {
     if (!(*tasks)[i].done) order.push_back(i);
@@ -326,6 +327,11 @@ BatchRepairResult RecoveryScheduler::RepairBatched(
     groups.back().push_back(idx);
   }
   workers_->ParallelFor(groups.size(), [&](size_t g) {
+    const BackupRef& ref = (*tasks)[groups[g].front()].entry.backup;
+    if (ref.kind == BackupKind::kFullBackup) {
+      LoadFromFullBackup(tasks, groups[g], ref.value);
+      return;
+    }
     for (size_t idx : groups[g]) {
       PageTask& task = (*tasks)[idx];
       Status s = spr_->LoadBackupImage(task.id, task.entry, task.frame.get(),
@@ -361,14 +367,14 @@ BatchRepairResult RecoveryScheduler::RestoreBatched(
 
   LookupPhase(tasks, /*anchor_only=*/true);
 
-  // --- restore phase: sequential range reads of the damaged set -------------
+  // --- restore phase: one sorted backup read of the damaged set ------------
   // Any per-page reference (individual copy, in-log image, format record)
   // is NEWER than the full backup — the index collapses to kFullBackup at
   // every OnFullBackup — and for a page born after the backup it is the
   // ONLY valid source: the page's full-backup slot holds pre-birth bytes.
   // Those load per-page. Pages still covered by the backup (kFullBackup)
   // and pages whose reference was LOST (kNone — where RepairBatch has to
-  // escalate) take the sequential range read of the full backup.
+  // escalate) take the sorted read of the full backup.
   SimTimer restore_timer(spr_->clock());
   std::vector<size_t> from_backup;
   std::vector<size_t> from_per_page;
@@ -383,33 +389,11 @@ BatchRepairResult RecoveryScheduler::RestoreBatched(
   }
   if (!from_backup.empty()) {
     // Tasks are in ascending id order (PrepareBatch sorted the pages), so
-    // the backup is read in one ascending pass of sequential runs. Runs
-    // one thread: fanning ranges out would break the access pattern.
-    std::vector<PageId> ids;
-    std::vector<char*> frames;
+    // the backup is read in one ascending pass. Runs one thread: fanning
+    // ranges out would break the access pattern.
+    bd->backup_runs += LoadFromFullBackup(tasks, from_backup, backup);
     for (size_t idx : from_backup) {
-      ids.push_back((*tasks)[idx].id);
-      frames.push_back((*tasks)[idx].frame.get());
-    }
-    auto runs_or =
-        spr_->backups()->ReadPagesFromFullBackup(backup, ids, frames.data());
-    if (!runs_or.ok()) {
-      for (size_t idx : from_backup) (*tasks)[idx].Fail(runs_or.status());
-    } else {
-      bd->backup_runs += *runs_or;
-      for (size_t idx : from_backup) {
-        PageTask& task = (*tasks)[idx];
-        task.acc.backup_reads++;
-        task.acc.last_backup_kind = BackupKind::kFullBackup;
-        PageView page(task.frame.get(), page_size);
-        Status s = page.Verify(task.id);
-        if (!s.ok()) {
-          task.Fail(std::move(s));
-          continue;
-        }
-        bd->backup_pages_loaded++;
-        task.SetChainTarget(page.page_lsn());
-      }
+      if ((*tasks)[idx].status.ok()) bd->backup_pages_loaded++;
     }
   }
   if (!from_per_page.empty()) {
@@ -440,6 +424,39 @@ BatchRepairResult RecoveryScheduler::RestoreBatched(
     bd->records_applied += task.acc.log_records_applied;
   }
   return result;
+}
+
+uint64_t RecoveryScheduler::LoadFromFullBackup(std::vector<PageTask>* tasks,
+                                               const std::vector<size_t>& idxs,
+                                               BackupId backup) {
+  const uint32_t page_size = spr_->page_size();
+  std::vector<PageId> ids;
+  std::vector<char*> frames;
+  for (size_t idx : idxs) {
+    ids.push_back((*tasks)[idx].id);
+    frames.push_back((*tasks)[idx].frame.get());
+  }
+  std::vector<Status> read_status;
+  auto streams_or = spr_->backups()->ReadPagesFromFullBackup(
+      backup, ids, frames.data(), &read_status);
+  if (!streams_or.ok()) {
+    for (size_t idx : idxs) (*tasks)[idx].Fail(streams_or.status());
+    return 0;
+  }
+  for (size_t k = 0; k < idxs.size(); ++k) {
+    PageTask& task = (*tasks)[idxs[k]];
+    PageView page(task.frame.get(), page_size);
+    Status s = read_status[k];
+    if (s.ok()) s = page.Verify(task.id);
+    if (!s.ok()) {
+      task.Fail(std::move(s));
+      continue;
+    }
+    task.acc.backup_reads++;
+    task.acc.last_backup_kind = BackupKind::kFullBackup;
+    task.SetChainTarget(page.page_lsn());
+  }
+  return *streams_or;
 }
 
 size_t RecoveryScheduler::WalkClusters(std::vector<PageTask>* tasks,

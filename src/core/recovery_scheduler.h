@@ -182,6 +182,13 @@ class RecoveryScheduler : public PageRepairer {
   /// Phase 0 (shared): PRI lookups + frame allocation. `anchor_only`
   /// (partial restore) tolerates entries whose backup reference was lost.
   void LookupPhase(std::vector<PageTask>* tasks, bool anchor_only);
+  /// Phase 1 (shared): loads the tasks `idxs` (ascending page ids) from
+  /// full backup `backup` through its sorted reader, verifying every
+  /// image. A failed read or verification fails only that task. Returns
+  /// the sequential backup read streams.
+  uint64_t LoadFromFullBackup(std::vector<PageTask>* tasks,
+                              const std::vector<size_t>& idxs,
+                              BackupId backup);
   /// Phase 2 (shared): clusters overlapping chain ranges and walks each.
   /// Adds this batch's segment fetch count to `*fetches` when non-null;
   /// returns the number of clusters walked.

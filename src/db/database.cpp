@@ -501,7 +501,13 @@ StatusOr<FullBackupInfo> Database::TakeFullBackup() {
   if (options_.tracking == WriteTrackingMode::kPri) {
     SPF_RETURN_IF_ERROR(pri_manager_->WriteDirtyWindows());
   }
-  SPF_ASSIGN_OR_RETURN(FullBackupInfo info, backups_->TakeFullBackup(backup_lsn));
+  // Copy only the allocated pages. The snapshot follows the backup LSN,
+  // so a page it misses is either never allocated or allocated later,
+  // with its kPageFormat record above `backup_lsn` — full restore
+  // rebuilds such a page from that record.
+  SPF_ASSIGN_OR_RETURN(
+      FullBackupInfo info,
+      backups_->TakeFullBackup(backup_lsn, alloc_->AllocatedPages()));
   if (options_.tracking == WriteTrackingMode::kPri) {
     pri_manager_->OnFullBackup(info.id);
   }
@@ -609,6 +615,7 @@ StatusOr<MediaRecoveryStats> Database::RecoverMedia() {
                           : nullptr,
                       &clock_, archiver_.get());
   FullRestoreOptions fr;
+  fr.allocator = alloc_.get();
   fr.gate = restore_gate_.get();
   fr.segment_pages = options_.restore_segment_pages;
   if (options_.restore_early_admission) {

@@ -260,8 +260,8 @@ class Database {
   /// Takes a fuzzy checkpoint (dirty pages, dirty PRI windows, active
   /// transactions, allocator + bad-block snapshots; master record).
   StatusOr<CheckpointStats> Checkpoint();
-  /// Flushes everything and takes a full backup (media recovery baseline +
-  /// PRI range compression).
+  /// Flushes everything and takes a full backup of the allocated pages
+  /// (media recovery baseline + PRI range compression).
   StatusOr<FullBackupInfo> TakeFullBackup();
   /// Writes every dirty buffered page back to the device.
   Status FlushAll() { return pool_->FlushAll(); }

@@ -1,43 +1,60 @@
 #include "recovery/media_recovery.h"
 
 #include <algorithm>
-#include <numeric>
+#include <cstring>
+#include <iterator>
 
 #include "btree/btree_log.h"
 
 namespace spf {
 
 Status MediaRecovery::RestoreSegment(
-    BackupId backup, uint64_t first, uint64_t count, Lsn backup_lsn,
+    const FullBackupInfo& backup, const std::vector<PageId>& pages,
     Lsn tail_plan_start,
     const std::unordered_map<PageId, std::vector<Lsn>>& plan, char* seg_buf,
     MediaRecoveryStats* stats) {
   const uint32_t page_size = data_->page_size();
-  std::vector<PageId> ids(count);
-  std::iota(ids.begin(), ids.end(), first);
-  std::vector<char*> frames(count);
-  for (uint64_t i = 0; i < count; ++i) frames[i] = seg_buf + i * page_size;
+  std::vector<char*> frames(pages.size());
+  for (size_t i = 0; i < pages.size(); ++i) frames[i] = seg_buf + i * page_size;
 
+  // Pages the backup copied come through its sorted reader. Every other
+  // page (NotFound) was born after the backup: its slot is stale and never
+  // read — the page starts from a zeroed frame and its kPageFormat record
+  // rebuilds it.
+  std::vector<Status> read_status;
   {
     SimTimer t(clock_);
-    SPF_RETURN_IF_ERROR(
-        backups_->ReadPagesFromFullBackup(backup, ids, frames.data()).status());
+    SPF_RETURN_IF_ERROR(backups_
+                            ->ReadPagesFromFullBackup(backup.id, pages,
+                                                      frames.data(),
+                                                      &read_status)
+                            .status());
     stats->restore_sim_seconds += t.ElapsedSeconds();
+  }
+  std::vector<bool> in_backup(pages.size());
+  for (size_t i = 0; i < pages.size(); ++i) {
+    if (read_status[i].IsNotFound()) {
+      std::memset(frames[i], 0, page_size);
+    } else {
+      SPF_RETURN_IF_ERROR(read_status[i]);
+      in_backup[i] = true;
+    }
   }
 
   SimTimer t(clock_);
 
-  // Archived history for this segment's page range arrives as one k-way
+  // Archived history for this segment's pages arrives as one k-way
   // range fetch over the sorted runs — sequential archive reads carrying
   // full payloads, so nothing below tail_plan_start is re-read from the
   // log. Run-major emission in log order keeps each page's records
   // ascending by LSN. The cap at tail_plan_start keeps this disjoint from
   // the tail plan even if the archiver advanced mid-restore.
+  const Lsn backup_lsn = backup.backup_lsn;
   std::unordered_map<PageId, std::vector<LogRecord>> archived;
   if (archive_ != nullptr && tail_plan_start > backup_lsn) {
     const Lsn min_ex = backup_lsn > 0 ? backup_lsn - 1 : 0;  // include ==
     SPF_RETURN_IF_ERROR(archive_
-                            ->FetchRange(first, first + count - 1, min_ex,
+                            ->FetchRange(pages.front(), pages.back(), min_ex,
                                          [&](LogRecord&& rec) {
                                            if (rec.lsn < tail_plan_start) {
                                              archived[rec.page_id].push_back(
@@ -47,8 +64,8 @@ Status MediaRecovery::RestoreSegment(
                             .status());
   }
 
-  for (uint64_t i = 0; i < count; ++i) {
-    PageId pid = first + i;
+  for (size_t i = 0; i < pages.size(); ++i) {
+    const PageId pid = pages[i];
     PageView page(frames[i], page_size);
     Lsn format_lsn = kInvalidLsn;
     Lsn final_lsn = kInvalidLsn;
@@ -66,6 +83,11 @@ Status MediaRecovery::RestoreSegment(
         // (section 5.2.1) — rebuild from scratch by redo.
         page.Format(pid, PageType::kRaw);
         format_lsn = rec.lsn;
+      } else if (!in_backup[i] && format_lsn == kInvalidLsn) {
+        return Status::Corruption(
+            "page " + std::to_string(pid) +
+            " is not in the full backup and its replay does not start "
+            "with a format record");
       }
       SPF_RETURN_IF_ERROR(btree_log::RedoBTreeRecord(rec, page));
       page.set_page_lsn(rec.lsn);
@@ -95,6 +117,13 @@ Status MediaRecovery::RestoreSegment(
         SPF_ASSIGN_OR_RETURN(LogRecord rec, log_->Read(lsn));
         SPF_RETURN_IF_ERROR(apply_one(rec));
       }
+    }
+    if (!in_backup[i] && !modified) {
+      // Allocated, but nothing durable was ever logged for it: an
+      // allocation whose format record is still in flight (a straggler's
+      // split parked at the sealed log). There is no content to restore;
+      // its owner formats the page when admitted.
+      continue;
     }
     if (modified) page.UpdateChecksum();
     SPF_RETURN_IF_ERROR(data_->WritePage(pid, frames[i]));
@@ -179,6 +208,17 @@ StatusOr<MediaRecoveryStats> MediaRecovery::Run(
     stats.replay_sim_seconds += t.ElapsedSeconds();
   }
 
+  // Restore set: the pages the backup copied plus the pages allocated now
+  // (those born after the backup come back from their format records).
+  // Nothing else holds data a reader can reach.
+  const std::vector<PageId> allocated =
+      options.allocator != nullptr ? options.allocator->AllocatedPages()
+                                   : std::vector<PageId>();
+  std::vector<PageId> restore_set;
+  std::set_union(backup->pages.begin(), backup->pages.end(),
+                 allocated.begin(), allocated.end(),
+                 std::back_inserter(restore_set));
+
   // Rebuild the PRI's baseline to the restored full backup up front;
   // per-page entries (format-record backups, final replayed LSNs) are
   // published per segment BEFORE the segment is admitted.
@@ -191,7 +231,8 @@ StatusOr<MediaRecoveryStats> MediaRecovery::Run(
 
   // One loop for both modes: with a gate, the claim order honors the
   // on-demand queue; without one, it degrades to the sequential cursor.
-  std::vector<char> seg_buf(seg_pages * data_->page_size());
+  std::vector<char> seg_buf(std::min<uint64_t>(seg_pages, restore_set.size()) *
+                            data_->page_size());
   uint64_t seq = 0;
   for (;;) {
     uint64_t seg = 0;
@@ -202,10 +243,17 @@ StatusOr<MediaRecoveryStats> MediaRecovery::Run(
       if (seq >= num_segments) break;
       seg = seq++;
     }
-    uint64_t first = seg * seg_pages;
-    uint64_t count = std::min(seg_pages, num_pages - first);
-    Status s = RestoreSegment(backup->id, first, count, backup->backup_lsn,
-                              tail_plan_start, plan, seg_buf.data(), &stats);
+    // The segment grid covers the whole device; a segment holding no page
+    // of the restore set is published without backup or archive I/O.
+    const PageId first = seg * seg_pages;
+    const std::vector<PageId> pages(
+        std::lower_bound(restore_set.begin(), restore_set.end(), first),
+        std::lower_bound(restore_set.begin(), restore_set.end(),
+                         first + seg_pages));
+    Status s = pages.empty()
+                   ? Status::OK()
+                   : RestoreSegment(*backup, pages, tail_plan_start, plan,
+                                    seg_buf.data(), &stats);
     if (!s.ok()) {
       // Fail every still-parked fault with the sweep's error instead of
       // hanging it; the caller escalates.

@@ -6,17 +6,22 @@
 // SEGMENTS: one sequential log pass builds a per-page replay plan (the
 // LSNs each page needs — re-read per segment at apply time, modeling the
 // partitioned log runs of instant restore), then every segment is served
-// as one sequential backup range read, an in-memory per-page chain apply,
-// and one sequential device write-back. Progress is published through an
+// as one sorted backup read, an in-memory per-page chain apply, and one
+// ascending device write-back. Only the RESTORE SET moves: the pages the
+// backup copied plus the pages allocated when the plan is built. A page
+// born after the backup is rebuilt from its kPageFormat record, and a
+// segment holding no page of the set is published without any I/O, so
+// restore cost follows the allocated data, not the device capacity.
+// Progress is published through an
 // optional RestoreGate: parked buffer faults are admitted as soon as
 // THEIR segment is back, and a waiting fault's segment is restored on
 // demand ahead of the sequential sweep. Without a gate the sweep is a
 // plain sequential restore with the same cost model as the paper's
-// baseline (device transfer rate bound: 100 GB at 100 MB/s = 1,000 s,
-// section 6; the replay is random-log-read bound).
+// baseline (device transfer rate bound: 100 GB of data at 100 MB/s =
+// 1,000 s, section 6; the replay is random-log-read bound).
 //
-// RunPartial() is the bounded-damage variant: only the damaged page-id
-// ranges are read from the full backup (sequential runs), and only those
+// RunPartial() is the bounded-damage variant: only the damaged pages are
+// read from the full backup (one sorted pass), and only those
 // pages' per-page log chains are replayed — through the batched
 // RecoveryScheduler's shared-segment cluster walk, one buffered log pass
 // instead of a full-log scan or one random read per record. The device
@@ -34,6 +39,7 @@
 #include "core/recovery_scheduler.h"
 #include "log/log_manager.h"
 #include "recovery/restore_gate.h"
+#include "storage/allocation.h"
 #include "storage/sim_device.h"
 
 namespace spf {
@@ -55,6 +61,10 @@ struct MediaRecoveryStats {
 
 /// How a full restore runs (MediaRecovery::Run overload).
 struct FullRestoreOptions {
+  /// Live allocator: the pages it holds when the replay plan is built
+  /// join the backup's page set as the restore set. Null restores only
+  /// the backup's set.
+  const PageAllocator* allocator = nullptr;
   /// Progress publication + per-page admission; null = no publication
   /// (plain offline restore).
   RestoreGate* gate = nullptr;
@@ -86,13 +96,9 @@ class MediaRecovery {
         clock_(clock),
         archive_(archive) {}
 
-  /// Full restore + replay with default options (one segment, no gate).
-  /// The device is revived first (simulating the replacement of the
-  /// failed unit).
-  StatusOr<MediaRecoveryStats> Run() { return Run(FullRestoreOptions()); }
-
   /// Incremental full restore + replay; see the file comment for the
-  /// segment protocol.
+  /// segment protocol. The device is revived first (simulating the
+  /// replacement of the failed unit).
   StatusOr<MediaRecoveryStats> Run(const FullRestoreOptions& options);
 
   /// Partial restore-and-replay of a bounded damaged set through
@@ -106,13 +112,17 @@ class MediaRecovery {
                                           RecoveryScheduler* scheduler);
 
  private:
-  /// Restores pages [first, first+count): sequential backup range read,
-  /// archived history via one sorted-run range fetch (records at or above
-  /// `backup_lsn` and below `tail_plan_start`), per-page tail apply from
-  /// `plan`, sequential device write-back, then per-page PRI publication.
-  /// Buffers through `seg_buf` (count * page_size bytes).
-  Status RestoreSegment(BackupId backup, uint64_t first, uint64_t count,
-                        Lsn backup_lsn, Lsn tail_plan_start,
+  /// Restores `pages` (one segment's slice of the restore set; ascending,
+  /// non-empty): sorted backup read of those the backup copied, a zeroed
+  /// frame for the rest, archived history via one sorted-run range fetch
+  /// (records at or above the backup LSN and below `tail_plan_start`),
+  /// per-page tail apply from `plan`, ascending device write-back, then
+  /// per-page PRI publication. A page outside the backup whose replay
+  /// does not start with a kPageFormat record is Corruption; one with no
+  /// record at all holds nothing durable and is left unwritten. Buffers
+  /// through `seg_buf` (pages.size() * page_size bytes).
+  Status RestoreSegment(const FullBackupInfo& backup,
+                        const std::vector<PageId>& pages, Lsn tail_plan_start,
                         const std::unordered_map<PageId, std::vector<Lsn>>& plan,
                         char* seg_buf, MediaRecoveryStats* stats);
 

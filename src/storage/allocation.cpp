@@ -65,6 +65,16 @@ uint64_t PageAllocator::allocated_count() const {
   return allocated_;
 }
 
+std::vector<PageId> PageAllocator::AllocatedPages() const {
+  MutexLock g(mu_);
+  std::vector<PageId> pages;
+  pages.reserve(allocated_);
+  for (uint64_t i = 0; i < num_pages_; ++i) {
+    if (used_[i]) pages.push_back(i);
+  }
+  return pages;
+}
+
 std::string PageAllocator::Serialize() const {
   MutexLock g(mu_);
   std::string out;

@@ -42,6 +42,11 @@ class PageAllocator {
 
   bool IsAllocated(PageId id) const;
   uint64_t allocated_count() const;
+
+  /// Snapshot of every allocated page id, ascending (the page set a full
+  /// backup copies and a full restore brings back).
+  std::vector<PageId> AllocatedPages() const;
+
   uint64_t capacity() const { return num_pages_; }
 
   /// Serializes the full bitmap (checkpoint payload).

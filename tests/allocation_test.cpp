@@ -4,6 +4,7 @@
 
 #include <set>
 #include <thread>
+#include <vector>
 
 #include "storage/allocation.h"
 
@@ -48,6 +49,15 @@ TEST(PageAllocatorTest, MarkIdempotent) {
   alloc.MarkFree(5);
   alloc.MarkFree(5);
   EXPECT_EQ(alloc.allocated_count(), 1u);
+}
+
+TEST(PageAllocatorTest, AllocatedPagesIsAscendingSnapshot) {
+  PageAllocator alloc(100, 3);
+  alloc.MarkAllocated(90);
+  alloc.MarkAllocated(40);
+  alloc.MarkFree(1);
+  EXPECT_EQ(alloc.AllocatedPages(), (std::vector<PageId>{0, 2, 40, 90}));
+  EXPECT_EQ(alloc.AllocatedPages().size(), alloc.allocated_count());
 }
 
 TEST(PageAllocatorTest, SerializeRoundTrip) {

@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -142,7 +144,7 @@ TEST(PartialRestoreTest, EscalationPolicyRouting) {
   rec = db->RecoverPages({victims.front()});
   ASSERT_TRUE(rec.ok()) << rec.status().ToString();
   EXPECT_EQ(rec->path, RecoveryPath::kFullRestore);
-  EXPECT_EQ(rec->media.pages_restored, db->options().num_pages);
+  EXPECT_EQ(rec->media.pages_restored, bench::RestoreSetSize(db.get()));
   ASSERT_TRUE(db->CheckOffline(nullptr).ok());
 }
 
@@ -258,13 +260,212 @@ TEST(PartialRestoreTest, DirtyBufferedPagesAreSkippedNotRestored) {
   EXPECT_EQ(*v, "dirty-in-pool");
 }
 
+// --- allocation-aware full restore ------------------------------------------
+
+/// Device images of every allocated data page (PRI pages excluded: full
+/// restore rebuilds the index in memory, not its on-device windows).
+std::map<PageId, std::string> AllocatedImages(Database* db) {
+  PriLayout layout = PriLayout::Compute(db->options().num_pages);
+  std::map<PageId, std::string> images;
+  for (PageId p : db->allocator()->AllocatedPages()) {
+    if (layout.IsPriPage(p)) continue;
+    std::string img(db->options().page_size, '\0');
+    db->data_device()->RawRead(p, img.data());
+    images.emplace(p, std::move(img));
+  }
+  return images;
+}
+
+/// Fails the whole device, runs a full restore, and checks the restore
+/// moved exactly the restore set: backup reads = the backup's own pages
+/// (Instant profile, so nothing is bridged), writes = the restore set,
+/// and every allocated page comes back byte-identical.
+void ExpectAllocatedOnlyFullRestore(Database* db) {
+  ASSERT_TRUE(db->FlushAll().ok());
+  const std::map<PageId, std::string> before = AllocatedImages(db);
+  auto backup = db->backups()->latest_full_backup();
+  ASSERT_TRUE(backup.has_value());
+  const uint64_t restore_set = bench::RestoreSetSize(db);
+  ASSERT_LT(restore_set, db->options().num_pages / 2)
+      << "the device needs a never-allocated tail";
+
+  db->data_device()->FailDevice();
+  db->pool()->DiscardAll();
+  const DeviceStats backup0 = db->backup_device()->stats();
+  const DeviceStats data0 = db->data_device()->stats();
+  auto stats = db->RecoverMedia();
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  const DeviceStats backup1 = db->backup_device()->stats();
+  const DeviceStats data1 = db->data_device()->stats();
+
+  EXPECT_EQ(stats->pages_restored, restore_set);
+  EXPECT_EQ(backup1.page_reads - backup0.page_reads, backup->pages.size());
+  // Checkpoint writes after the sweep touch only PRI pages.
+  EXPECT_GE(data1.page_writes - data0.page_writes, restore_set);
+  EXPECT_EQ(AllocatedImages(db), before);
+  ASSERT_TRUE(db->CheckOffline(nullptr).ok());
+}
+
+TEST(AllocatedRestoreTest, FullRestoreReadsOnlyTheBackupSet) {
+  std::vector<PageId> victims;
+  auto db = MakeChainedDb(FastOptions(), &victims);
+  auto backup = db->backups()->latest_full_backup();
+  ASSERT_TRUE(backup.has_value());
+  EXPECT_EQ(backup->pages, db->allocator()->AllocatedPages());
+  ExpectAllocatedOnlyFullRestore(db.get());
+}
+
+TEST(AllocatedRestoreTest, PagesBornAfterBackupRebuildFromFormatRecords) {
+  auto db = bench::MakeLoadedDb(FastOptions(), 1500);
+  ASSERT_TRUE(db->TakeFullBackup().ok());
+  // Splits allocate pages the backup never copied; updates give the old
+  // pages log tails as well.
+  for (int base = 1500; base < 4500; base += 500) {
+    Txn t = db->BeginTxn();
+    for (int i = base; i < base + 500; ++i) {
+      ASSERT_TRUE(t.Insert(Key(i), "post-backup").ok());
+    }
+    ASSERT_TRUE(t.Commit().ok());
+  }
+  bench::UpdateKeyNTimes(db.get(), 7, 3);
+  auto backup = db->backups()->latest_full_backup();
+  ASSERT_TRUE(backup.has_value());
+  uint64_t born_after = 0;
+  for (PageId p : db->allocator()->AllocatedPages()) {
+    if (!backup->Contains(p)) born_after++;
+  }
+  ASSERT_GE(born_after, 4u);
+  ExpectAllocatedOnlyFullRestore(db.get());
+  for (int i = 0; i < 4500; i += 499) {
+    auto v = db->Get(Key(i));
+    ASSERT_TRUE(v.ok()) << v.status().ToString();
+  }
+}
+
+TEST(AllocatedRestoreTest, UnformattedPageOutsideBackupIsCorruption) {
+  auto db = bench::MakeLoadedDb(FastOptions(), 1500);
+  ASSERT_TRUE(db->TakeFullBackup().ok());
+  auto leaf = db->LeafPageOf(Key(10));
+  ASSERT_TRUE(leaf.ok());
+  // A backup that missed an allocated page: its replay starts with an
+  // update, not a format record, and its slot must not be trusted.
+  db->log()->ForceAll();
+  std::vector<PageId> pages = db->allocator()->AllocatedPages();
+  pages.erase(std::find(pages.begin(), pages.end(), *leaf));
+  ASSERT_TRUE(
+      db->backups()->TakeFullBackup(db->log()->durable_lsn(), pages).ok());
+  bench::UpdateKeyNTimes(db.get(), 10, 1);
+  db->log()->ForceAll();
+
+  db->data_device()->FailDevice();
+  db->pool()->DiscardAll();
+  auto stats = db->RecoverMedia();
+  ASSERT_FALSE(stats.ok());
+  EXPECT_TRUE(stats.status().IsCorruption()) << stats.status().ToString();
+  EXPECT_NE(stats.status().ToString().find("not in the full backup"),
+            std::string::npos)
+      << stats.status().ToString();
+}
+
+TEST(AllocatedRestoreTest, AllocationWithoutFormatRecordIsLeftUnwritten) {
+  auto db = bench::MakeLoadedDb(FastOptions(), 1500);
+  ASSERT_TRUE(db->TakeFullBackup().ok());
+  // An allocation whose format record never reached the log (a split
+  // parked between Allocate and its log append): nothing to restore.
+  auto pid = db->allocator()->Allocate();
+  ASSERT_TRUE(pid.ok());
+  std::string marker(db->options().page_size, 'M');
+  db->data_device()->RawWrite(*pid, marker.data());
+
+  db->data_device()->FailDevice();
+  db->pool()->DiscardAll();
+  auto stats = db->RecoverMedia();
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(stats->pages_restored, bench::RestoreSetSize(db.get()) - 1);
+  std::string img(db->options().page_size, '\0');
+  db->data_device()->RawRead(*pid, img.data());
+  EXPECT_EQ(img, marker);
+  auto v = db->Get(Key(700));
+  ASSERT_TRUE(v.ok()) << v.status().ToString();
+}
+
+TEST(AllocatedRestoreTest, PartialRestoreFailsOnlyTheUnreadableBackupPage) {
+  std::vector<PageId> victims;
+  auto db = MakeChainedDb(FastOptions(), &victims);
+  ASSERT_GE(victims.size(), 4u);
+  const std::vector<std::string> before = SnapshotPages(db.get(), victims);
+  auto backup = db->backups()->latest_full_backup();
+  ASSERT_TRUE(backup.has_value());
+
+  const PageId bad = victims[1];
+  db->backup_device()->InjectReadError(bad);
+  for (PageId v : victims) db->data_device()->FailPageRange(v, 1);
+  PartialRestoreBreakdown bd;
+  auto result = db->recovery_scheduler()->RepairBatchFromBackup(
+      victims, backup->id, &bd);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->failed, 1u);
+  EXPECT_EQ(result->repaired, victims.size() - 1);
+  ASSERT_EQ(result->failures.size(), 1u);
+  EXPECT_EQ(result->failures[0].page_id, bad);
+  EXPECT_EQ(bd.backup_pages_loaded, victims.size() - 1);
+
+  const std::vector<std::string> after = SnapshotPages(db.get(), victims);
+  for (size_t i = 0; i < victims.size(); ++i) {
+    if (victims[i] == bad) continue;
+    EXPECT_EQ(after[i], before[i]) << "page " << victims[i];
+  }
+}
+
+TEST(AllocatedRestoreTest, BatchRepairReadsBackupThroughSortedReader) {
+  DatabaseOptions options = FastOptions();
+  options.backup_profile = DeviceProfile::Hdd100();
+  std::vector<PageId> victims;
+  auto db = MakeChainedDb(options, &victims);
+  ASSERT_GE(victims.size(), 4u);
+  const std::vector<std::string> before = SnapshotPages(db.get(), victims);
+  for (PageId v : victims) {
+    auto entry = db->pri()->Lookup(v);
+    ASSERT_TRUE(entry.ok());
+    ASSERT_EQ(entry->backup.kind, BackupKind::kFullBackup);
+  }
+  // Victims are a few pages apart: one positioning, the gaps read through.
+  ASSERT_LT(victims.back() - victims.front(), 100u);
+
+  // A corrupt backup image still fails its page's Verify — only that page.
+  const PageId bad = victims[2];
+  db->backup_device()->InjectSilentCorruption(bad);
+  for (PageId v : victims) db->data_device()->InjectSilentCorruption(v);
+  const DeviceStats b0 = db->backup_device()->stats();
+  auto result = db->recovery_scheduler()->RepairBatchNoEscalation(victims);
+  const DeviceStats b1 = db->backup_device()->stats();
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->repaired, victims.size() - 1);
+  ASSERT_EQ(result->failures.size(), 1u);
+  EXPECT_EQ(result->failures[0].page_id, bad);
+  EXPECT_EQ(b1.random_accesses - b0.random_accesses, 1u);
+  EXPECT_EQ(b1.page_reads - b0.page_reads,
+            victims.back() - victims.front() + 1);
+
+  const std::vector<std::string> after = SnapshotPages(db.get(), victims);
+  for (size_t i = 0; i < victims.size(); ++i) {
+    if (victims[i] == bad) continue;
+    EXPECT_EQ(after[i], before[i]) << "page " << victims[i];
+  }
+}
+
 TEST(BackupRangeReadTest, SequentialRunsMatchPointReads) {
   std::vector<PageId> victims;
   auto db = MakeChainedDb(FastOptions(), &victims);
   auto backup = db->backups()->latest_full_backup();
   ASSERT_TRUE(backup.has_value());
 
-  std::vector<PageId> pages{10, 11, 12, 50, 100, 101};
+  // Three runs of pages the backup copied; a never-allocated page is not
+  // in it and reads NotFound.
+  std::vector<PageId> pages{10, 11, 12, 16, 20, 21};
+  for (PageId p : pages) ASSERT_TRUE(backup->Contains(p)) << "page " << p;
+  ASSERT_FALSE(db->allocator()->IsAllocated(100));
+  EXPECT_FALSE(backup->Contains(100));
   const uint32_t page_size = db->options().page_size;
   std::vector<std::string> range_images(pages.size(),
                                         std::string(page_size, '\0'));
@@ -274,7 +475,7 @@ TEST(BackupRangeReadTest, SequentialRunsMatchPointReads) {
   auto runs = db->backups()->ReadPagesFromFullBackup(backup->id, pages,
                                                      frames.data());
   ASSERT_TRUE(runs.ok()) << runs.status().ToString();
-  EXPECT_EQ(*runs, 3u);  // {10,11,12}, {50}, {100,101}
+  EXPECT_EQ(*runs, 3u);  // {10,11,12}, {16}, {20,21}
 
   for (size_t i = 0; i < pages.size(); ++i) {
     std::string point(page_size, '\0');
@@ -283,6 +484,10 @@ TEST(BackupRangeReadTest, SequentialRunsMatchPointReads) {
                     .ok());
     EXPECT_EQ(range_images[i], point) << "page " << pages[i];
   }
+  std::string never(page_size, '\0');
+  EXPECT_TRUE(db->backups()
+                  ->ReadFromFullBackup(backup->id, 100, never.data())
+                  .IsNotFound());
 
   // Descending / duplicate ids are rejected rather than silently reread.
   std::string scratch(page_size, '\0');

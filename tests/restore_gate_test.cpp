@@ -156,7 +156,7 @@ TEST(RestoreGateTest, LiveTrafficCommitsThroughFullRestore) {
   EXPECT_GE(result->phases.drained, 1u);
   EXPECT_EQ(db->txns()->stats().user_aborted, 0u);
   EXPECT_EQ(db->txns()->stats().doomed, 0u);
-  EXPECT_EQ(result->pages_restored, options.num_pages);
+  EXPECT_EQ(result->pages_restored, bench::RestoreSetSize(db.get()));
   EXPECT_TRUE(committed_mid_restore)
       << "B only committed after the sweep finished; widen the observer "
          "delay if this host is very slow";
