@@ -5,7 +5,6 @@
 #include <atomic>
 #include <queue>
 #include <thread>
-#include <unordered_map>
 
 #include "btree/btree_log.h"
 
@@ -614,68 +613,38 @@ void RecoveryScheduler::FetchArchivedChains(
     std::vector<PageTask>* tasks, const std::vector<size_t>& members,
     const std::vector<Lsn>& archived_hi, uint64_t* archive_pages) {
   // Completes every cluster member whose chain walk crossed the archive
-  // watermark: ONE k-way range fetch over the sorted runs covers the whole
-  // cluster's archived remainders — the run store's analogue of the shared
-  // segment reads above.
-  std::unordered_map<PageId, size_t> want;  // page id -> member position
-  PageId lo = kInvalidPageId, hi = 0;
-  Lsn min_ex = kInvalidLsn;
+  // watermark: ONE chain-following fetch over the sorted runs covers the
+  // whole cluster's archived remainders, reading only the runs that hold
+  // them — the run store's analogue of the shared segment reads above.
+  std::vector<ChainRequest> requests;
+  std::vector<size_t> owner;  // request -> member position
   for (size_t m = 0; m < members.size(); ++m) {
     if (archived_hi[m] == kInvalidLsn) continue;
-    PageTask& task = (*tasks)[members[m]];
+    const PageTask& task = (*tasks)[members[m]];
     if (task.done) continue;
-    want.emplace(task.id, m);
-    lo = std::min(lo, task.id);
-    hi = std::max(hi, task.id);
-    min_ex = min_ex == kInvalidLsn ? task.backup_lsn
-                                   : std::min(min_ex, task.backup_lsn);
+    requests.push_back({task.id, task.backup_lsn, archived_hi[m]});
+    owner.push_back(m);
   }
-  if (want.empty()) return;
+  if (requests.empty()) return;
   SPF_CHECK(archive_ != nullptr) << "archived chain without an archive";
 
-  // Run-major emission in log order means each page's records arrive
-  // ascending by LSN.
-  std::vector<std::vector<LogRecord>> got(members.size());
-  auto pages_or = archive_->FetchRange(
-      lo, hi, min_ex, [&](LogRecord&& rec) {
-        auto it = want.find(rec.page_id);
-        if (it == want.end()) return;  // foreign page caught in the range
-        const size_t m = it->second;
-        const PageTask& task = (*tasks)[members[m]];
-        if (rec.lsn > task.backup_lsn && rec.lsn <= archived_hi[m]) {
-          got[m].push_back(std::move(rec));
-        }
-      });
-  if (!pages_or.ok()) {
-    for (const auto& [id, m] : want) {
-      (void)id;
-      (*tasks)[members[m]].Fail(pages_or.status());
-    }
-    return;
-  }
-  *archive_pages += pages_or.value();
-
-  for (const auto& [id, m] : want) {
-    (void)id;
-    PageTask& task = (*tasks)[members[m]];
-    std::vector<LogRecord>& recs = got[m];
-    if (recs.empty() || recs.back().lsn != archived_hi[m]) {
-      task.Fail(Status::Corruption(
-          "archived per-page chain is missing its newest record"));
-      continue;
-    }
-    const Lsn anchor = recs.front().page_prev_lsn;
-    if (anchor != task.backup_lsn && anchor != kInvalidLsn) {
-      task.Fail(
-          Status::Corruption("per-page chain does not reach the backup"));
+  std::vector<ChainFetch> fetched;
+  auto pages_or = archive_->FetchChains(requests, &fetched);
+  for (size_t i = 0; i < requests.size(); ++i) {
+    PageTask& task = (*tasks)[members[owner[i]]];
+    const Status& s = pages_or.ok() ? fetched[i].status : pages_or.status();
+    if (!s.ok()) {
+      task.Fail(s);
       continue;
     }
     // task.chain is newest-first; the archived records are older than
-    // everything already collected, so append them reversed.
-    for (auto it = recs.rbegin(); it != recs.rend(); ++it) {
-      task.chain.push_back(std::move(*it));
+    // everything already collected.
+    for (LogRecord& rec : fetched[i].newest_first) {
+      task.chain.push_back(std::move(rec));
     }
   }
+  if (!pages_or.ok()) return;
+  *archive_pages += pages_or.value();
 
   MutexLock g(stats_mu_);
   stats_.archive_fetches++;

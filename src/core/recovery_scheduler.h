@@ -60,7 +60,7 @@ struct RecoverySchedulerStats {
   uint64_t backup_groups = 0;       ///< backup-source groups formed
   uint64_t chain_clusters = 0;      ///< overlapping-log-range clusters walked
   uint64_t segment_fetches = 0;     ///< shared log segment reads
-  uint64_t archive_fetches = 0;     ///< batched sorted-run range fetches
+  uint64_t archive_fetches = 0;     ///< batched sorted-run chain fetches
   uint64_t single_repairs = 0;      ///< foreground (read-path) repairs
   uint64_t partial_restores = 0;    ///< RepairBatchFromBackup invocations
 };
@@ -147,9 +147,10 @@ class RecoveryScheduler : public PageRepairer {
 
   /// Wires the sorted log archive in: cluster walks then stop their tail
   /// reads at the archiver's watermark and fetch the archived remainder
-  /// of every chain in the cluster as one k-way range fetch over the
-  /// runs. nullptr (the default) keeps the pure tail walk. Install during
-  /// startup; not thread-safe vs. in-flight batches.
+  /// of every chain in the cluster with one chain-following fetch over
+  /// the runs (LogArchiver::FetchChains). nullptr (the default) keeps the
+  /// pure tail walk. Install during startup; not thread-safe vs.
+  /// in-flight batches.
   void SetArchive(LogArchiver* archive) { archive_ = archive; }
 
   /// Runtime toggle for the batched-vs-serial comparison (bench E8/E9).
@@ -208,7 +209,7 @@ class RecoveryScheduler : public PageRepairer {
   uint64_t WalkCluster(std::vector<PageTask>* tasks,
                        const std::vector<size_t>& members);
 
-  /// One k-way sorted-run range fetch completing every cluster member
+  /// One chain-following sorted-run fetch completing every cluster member
   /// whose chain crossed the archive watermark (archived_hi[m] set).
   /// Adds the archive data pages read to `*archive_pages`.
   void FetchArchivedChains(std::vector<PageTask>* tasks,

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <iterator>
+#include <limits>
 #include <queue>
 #include <utility>
 
@@ -321,115 +323,245 @@ Status LogArchiver::WriteRun(std::vector<Entry>* entries, uint32_t level,
 
 // --- Run reading ----------------------------------------------------------
 
-Status LogArchiver::ForEachRawEntry(
-    const Run& run, uint64_t start_offset,
-    const std::function<bool(PageId, Lsn, std::string_view)>& fn,
-    uint64_t* pages_read) const {
-  if (run.info.data_bytes == 0) return Status::OK();
-  const uint32_t ps = device_->page_size();
-  const uint64_t first_page = start_offset / ps;
-  const uint64_t base = first_page * static_cast<uint64_t>(ps);
-  std::string buf;
-  uint64_t loaded = first_page;  // page index one past the last loaded page
-  std::string page(ps, '\0');
-  auto ensure = [&](uint64_t stream_end) -> Status {
-    while (loaded * static_cast<uint64_t>(ps) < stream_end) {
-      if (loaded >= run.info.data_pages) {
-        return Status::Corruption("archive run data truncated");
-      }
-      SPF_RETURN_IF_ERROR(device_->ReadPage(
-          static_cast<PageId>(run.info.start_page + 1 + loaded), page.data()));
-      buf.append(page);
-      ++loaded;
-      ++*pages_read;
-    }
-    return Status::OK();
+// Forward cursor over one run's entry stream. Data pages load on demand
+// and are dropped once the cursor has passed them. A forward move reads
+// through the pages it skips when that costs less than repositioning the
+// archive device (gap * transfer < random access, the break-even rule of
+// BackupManager::ReadPagesFromFullBackup), so a pass over many nearby
+// positions stays one sequential stream. io_mu_ must be held.
+class LogArchiver::RunScanner {
+ public:
+  struct RawEntry {
+    PageId page_id = kInvalidPageId;
+    Lsn lsn = kInvalidLsn;
+    std::string_view payload;  ///< valid until the next Peek
   };
-  uint64_t off = start_offset;
-  while (off < run.info.data_bytes) {
-    SPF_RETURN_IF_ERROR(ensure(off + kEntryFrameBytes));
-    const Lsn lsn = DecodeFixed64(buf.data() + (off - base));
-    const uint32_t len = DecodeFixed32(buf.data() + (off - base) + 8);
+
+  RunScanner(SimDevice* device, const Run& run)
+      : device_(device), run_(run), ps_(device->page_size()) {}
+
+  uint64_t pages_read() const { return pages_read_; }
+
+  /// Moves to entry boundary `offset`; a no-op when the cursor is already
+  /// there or past it (the pass then continues from where it is).
+  void SkipTo(uint64_t offset) {
+    if (offset <= pos_) return;
+    const uint64_t page = offset / ps_;
+    if (page >= loaded_) {
+      const DeviceProfile& dev = device_->profile();
+      const bool bridge = loaded_ > first_ &&
+                          (page - loaded_) * dev.TransferNanos(ps_) <
+                              dev.random_access_ns;
+      if (!bridge) {
+        buf_.clear();
+        first_ = loaded_ = page;
+      }
+    }
+    pos_ = next_ = offset;
+  }
+
+  /// Decodes the entry at the cursor without consuming it. The page id
+  /// comes from the payload's fixed header, without a full (CRC-checked)
+  /// parse. Returns false at the end of the run.
+  StatusOr<bool> Peek(RawEntry* e) {
+    if (pos_ >= run_.info.data_bytes) return false;
+    SPF_RETURN_IF_ERROR(Load(pos_ + kEntryFrameBytes));
+    const uint32_t len = DecodeFixed32(At(pos_) + 8);
     if (len < kLogRecordHeaderSize ||
-        off + kEntryFrameBytes + len > run.info.data_bytes) {
+        pos_ + kEntryFrameBytes + len > run_.info.data_bytes) {
       return Status::Corruption("archive entry overruns its run");
     }
-    SPF_RETURN_IF_ERROR(ensure(off + kEntryFrameBytes + len));
-    std::string_view payload(buf.data() + (off - base) + kEntryFrameBytes,
-                             len);
-    const PageId pid = DecodeFixed64(payload.data() + kPayloadPageIdOffset);
-    if (!fn(pid, lsn, payload)) return Status::OK();
-    off += kEntryFrameBytes + len;
+    SPF_RETURN_IF_ERROR(Load(pos_ + kEntryFrameBytes + len));
+    e->lsn = DecodeFixed64(At(pos_));
+    e->payload = std::string_view(At(pos_) + kEntryFrameBytes, len);
+    e->page_id = DecodeFixed64(e->payload.data() + kPayloadPageIdOffset);
+    next_ = pos_ + kEntryFrameBytes + len;
+    return true;
   }
-  return Status::OK();
-}
 
-StatusOr<uint64_t> LogArchiver::StreamRun(
-    const Run& run, PageId lo, PageId hi, Lsn min_lsn_exclusive,
-    const std::function<void(LogRecord&&)>& emit) const {
-  if (run.info.record_count == 0) return 0;
-  if (run.info.max_page_id < lo || run.info.min_page_id > hi) return 0;
-  // Seek to the last fence at or before (lo, min_lsn_exclusive); the scan
-  // then reads forward sequentially.
-  uint64_t start = 0;
-  for (const Fence& f : run.fences) {
-    if (f.page_id < lo || (f.page_id == lo && f.lsn <= min_lsn_exclusive)) {
-      start = f.offset;
-    } else {
-      break;
+  /// Consumes the entry the last Peek returned.
+  void Advance() { pos_ = next_; }
+
+  /// Moves forward to the last fence at or before (lo, min_lsn_exclusive),
+  /// then emits the entries of pages in [lo, hi] with lsn in
+  /// (min_lsn_exclusive, max_lsn_inclusive), parsed, and stops at the
+  /// first entry past (hi, max_lsn_inclusive) without consuming it.
+  Status ScanPages(PageId lo, PageId hi, Lsn min_lsn_exclusive,
+                   Lsn max_lsn_inclusive,
+                   const std::function<void(LogRecord&&)>& emit) {
+    // The first fence sits at offset 0, so one always qualifies.
+    auto fence = std::upper_bound(
+        run_.fences.begin(), run_.fences.end(),
+        std::make_pair(lo, min_lsn_exclusive),
+        [](const std::pair<PageId, Lsn>& key, const Fence& f) {
+          return EntryBefore(key.first, key.second, f.page_id, f.lsn);
+        });
+    SkipTo(fence == run_.fences.begin() ? 0 : std::prev(fence)->offset);
+    RawEntry e;
+    for (;;) {
+      SPF_ASSIGN_OR_RETURN(bool more, Peek(&e));
+      if (!more || e.page_id > hi ||
+          (e.page_id == hi && e.lsn > max_lsn_inclusive)) {
+        return Status::OK();
+      }
+      if (e.page_id >= lo && e.lsn > min_lsn_exclusive &&
+          e.lsn <= max_lsn_inclusive) {
+        SPF_ASSIGN_OR_RETURN(LogRecord rec, ParseLogRecord(e.payload));
+        rec.lsn = e.lsn;
+        emit(std::move(rec));
+      }
+      Advance();
     }
   }
-  uint64_t pages = 0;
-  Status parse_error = Status::OK();
-  SPF_RETURN_IF_ERROR(ForEachRawEntry(
-      run, start,
-      [&](PageId pid, Lsn lsn, std::string_view payload) {
-        if (pid > hi) return false;  // sorted by page id: nothing further
-        if (pid < lo || lsn <= min_lsn_exclusive) return true;
-        auto rec_or = ParseLogRecord(payload);
-        if (!rec_or.ok()) {
-          parse_error = rec_or.status();
-          return false;
-        }
-        LogRecord rec = std::move(rec_or).value();
-        rec.lsn = lsn;
-        emit(std::move(rec));
-        return true;
-      },
-      &pages));
-  SPF_RETURN_IF_ERROR(parse_error);
-  return pages;
-}
 
-StatusOr<uint64_t> LogArchiver::FetchPageChain(PageId id,
-                                               Lsn min_lsn_exclusive,
-                                               Lsn max_lsn_inclusive,
-                                               std::vector<LogRecord>* out) {
-  ReaderLock io(io_mu_);
-  // runs_ only mutates under the io_mu_ writer, so the shared lock pins it.
-  std::vector<const Run*> hits;
-  for (const Run& r : runs_) {
-    if (r.info.record_count == 0) continue;
-    if (r.info.min_page_id > id || r.info.max_page_id < id) continue;
-    if (r.info.max_lsn <= min_lsn_exclusive) continue;
-    if (r.info.min_lsn > max_lsn_inclusive) continue;
-    hits.push_back(&r);
+ private:
+  const char* At(uint64_t offset) const {
+    return buf_.data() + (offset - first_ * ps_);
   }
-  // Disjoint log intervals: log order == LSN order across runs, so
-  // concatenating per-run (already LSN-ascending) results stays ascending.
-  std::sort(hits.begin(), hits.end(), [](const Run* a, const Run* b) {
+
+  // Makes the stream bytes below `stream_end` resident, reading the data
+  // pages in order from the first one not yet loaded.
+  Status Load(uint64_t stream_end) {
+    const uint64_t keep = std::min(pos_ / ps_, loaded_);
+    if (keep > first_) {
+      buf_.erase(0, (keep - first_) * ps_);
+      first_ = keep;
+    }
+    while (loaded_ * ps_ < stream_end) {
+      if (loaded_ >= run_.info.data_pages) {
+        return Status::Corruption("archive run data truncated");
+      }
+      const size_t at = buf_.size();
+      buf_.resize(at + ps_);
+      SPF_RETURN_IF_ERROR(device_->ReadPage(
+          static_cast<PageId>(run_.info.start_page + 1 + loaded_),
+          buf_.data() + at));
+      ++loaded_;
+      ++pages_read_;
+    }
+    return Status::OK();
+  }
+
+  SimDevice* const device_;
+  const Run& run_;
+  const uint64_t ps_;
+  std::string buf_;      ///< data pages [first_, loaded_)
+  uint64_t first_ = 0;   ///< index of buf_'s first data page
+  uint64_t loaded_ = 0;  ///< one past the last data page read
+  uint64_t pos_ = 0;     ///< stream offset of the current entry
+  uint64_t next_ = 0;    ///< stream offset after the peeked entry
+  uint64_t pages_read_ = 0;
+};
+
+std::vector<const LogArchiver::Run*> LogArchiver::RunsByLogStart() const {
+  std::vector<const Run*> out;
+  {
+    // runs_ only mutates under the io_mu_ writer, so the caller's io_mu_
+    // keeps these pointers valid after mu_ is released.
+    MutexLock g(mu_);
+    out.reserve(runs_.size());
+    for (const Run& r : runs_) out.push_back(&r);
+  }
+  std::sort(out.begin(), out.end(), [](const Run* a, const Run* b) {
     return a->info.log_start < b->info.log_start;
   });
+  return out;
+}
+
+StatusOr<uint64_t> LogArchiver::FetchChains(
+    const std::vector<ChainRequest>& requests, std::vector<ChainFetch>* out) {
+  std::vector<PageId> ids;
+  for (const ChainRequest& q : requests) ids.push_back(q.page_id);
+  std::sort(ids.begin(), ids.end());
+  if (std::adjacent_find(ids.begin(), ids.end()) != ids.end()) {
+    return Status::InvalidArgument("FetchChains: page id repeats");
+  }
+  out->assign(requests.size(), ChainFetch{});
+  ReaderLock io(io_mu_);
+  const std::vector<const Run*> runs = RunsByLogStart();
+  // The run whose log interval holds `lsn`, or runs.size() if none does.
+  auto run_of = [&](Lsn lsn) {
+    auto it = std::upper_bound(
+        runs.begin(), runs.end(), lsn,
+        [](Lsn l, const Run* r) { return l < r->info.log_start; });
+    if (it == runs.begin() || lsn >= (*std::prev(it))->info.log_end) {
+      return runs.size();
+    }
+    return static_cast<size_t>(std::prev(it) - runs.begin());
+  };
+  auto fail = [&](size_t i, Status s) {
+    (*out)[i].status = std::move(s);
+    (*out)[i].newest_first.clear();
+  };
+
+  // waiting[r]: requests whose cursor lies in run r. Cursors only move
+  // to older runs, so one newest-first sweep visits each run once.
+  std::vector<Lsn> cursor(requests.size(), kInvalidLsn);
+  std::vector<std::vector<size_t>> waiting(runs.size());
+  for (size_t i = 0; i < requests.size(); ++i) {
+    const ChainRequest& q = requests[i];
+    if (q.newest == kInvalidLsn || q.newest <= q.floor) continue;
+    const size_t r = run_of(q.newest);
+    if (r == runs.size()) {
+      fail(i, Status::Corruption(
+                  "archived per-page chain is missing its newest record"));
+      continue;
+    }
+    cursor[i] = q.newest;
+    waiting[r].push_back(i);
+  }
+
   uint64_t pages = 0;
-  for (const Run* r : hits) {
-    SPF_ASSIGN_OR_RETURN(
-        uint64_t n, StreamRun(*r, id, id, min_lsn_exclusive,
-                              [&](LogRecord&& rec) {
-                                if (rec.lsn <= max_lsn_inclusive) {
-                                  out->push_back(std::move(rec));
-                                }
-                              }));
-    pages += n;
+  for (size_t r = runs.size(); r-- > 0;) {
+    std::vector<size_t>& wanted = waiting[r];
+    if (wanted.empty()) continue;
+    std::sort(wanted.begin(), wanted.end(), [&](size_t a, size_t b) {
+      return requests[a].page_id < requests[b].page_id;
+    });
+    RunScanner scan(device_, *runs[r]);
+    Status read = Status::OK();
+    for (size_t i : wanted) {
+      const ChainRequest& q = requests[i];
+      std::vector<LogRecord> recs;  // ascending by LSN
+      if (read.ok()) {
+        read = scan.ScanPages(
+            q.page_id, q.page_id, q.floor, cursor[i],
+            [&](LogRecord&& rec) { recs.push_back(std::move(rec)); });
+      }
+      if (!read.ok()) {
+        fail(i, read);
+        continue;
+      }
+      // Every record of the page in (floor, cursor] inside this run is on
+      // the chain; it must end exactly at the cursor.
+      if (recs.empty() || recs.back().lsn != cursor[i]) {
+        fail(i, Status::Corruption(
+                    cursor[i] == q.newest
+                        ? "archived per-page chain is missing its newest record"
+                        : "per-page chain contains foreign record"));
+        continue;
+      }
+      const Lsn prev = recs.front().page_prev_lsn;
+      std::vector<LogRecord>& chain = (*out)[i].newest_first;
+      for (auto it = recs.rbegin(); it != recs.rend(); ++it) {
+        chain.push_back(std::move(*it));
+      }
+      if (prev == kInvalidLsn || prev == q.floor) continue;  // complete
+      if (prev < q.floor) {
+        fail(i, Status::Corruption("per-page chain does not reach the backup"));
+        continue;
+      }
+      // The pointer must leave this run: every record of the page in it
+      // down to the floor was just collected.
+      const size_t next = run_of(prev);
+      if (next >= r) {
+        fail(i, Status::Corruption("per-page chain contains foreign record"));
+        continue;
+      }
+      cursor[i] = prev;
+      waiting[next].push_back(i);
+    }
+    pages += scan.pages_read();
   }
   MutexLock g(mu_);
   stats_.merge_reads += pages;
@@ -440,21 +572,17 @@ StatusOr<uint64_t> LogArchiver::FetchRange(
     PageId lo, PageId hi, Lsn min_lsn_exclusive,
     const std::function<void(LogRecord&&)>& emit) {
   ReaderLock io(io_mu_);
-  std::vector<const Run*> hits;
-  for (const Run& r : runs_) {
-    if (r.info.record_count == 0) continue;
-    if (r.info.min_page_id > hi || r.info.max_page_id < lo) continue;
-    if (r.info.max_lsn <= min_lsn_exclusive) continue;
-    hits.push_back(&r);
-  }
-  std::sort(hits.begin(), hits.end(), [](const Run* a, const Run* b) {
-    return a->info.log_start < b->info.log_start;
-  });
+  // Disjoint log intervals: log order == LSN order across runs, so
+  // emitting run by run keeps each page's records ascending.
   uint64_t pages = 0;
-  for (const Run* r : hits) {
-    SPF_ASSIGN_OR_RETURN(uint64_t n,
-                         StreamRun(*r, lo, hi, min_lsn_exclusive, emit));
-    pages += n;
+  for (const Run* r : RunsByLogStart()) {
+    if (r->info.record_count == 0) continue;
+    if (r->info.min_page_id > hi || r->info.max_page_id < lo) continue;
+    if (r->info.max_lsn <= min_lsn_exclusive) continue;
+    RunScanner scan(device_, *r);
+    SPF_RETURN_IF_ERROR(scan.ScanPages(lo, hi, min_lsn_exclusive,
+                                       std::numeric_limits<Lsn>::max(), emit));
+    pages += scan.pages_read();
   }
   MutexLock g(mu_);
   stats_.merge_reads += pages;
@@ -576,13 +704,16 @@ Status LogArchiver::MergeLadderLocked() {
       ReaderLock io(io_mu_);
       for (size_t i = 0; i < inputs.size(); ++i) {
         per_input[i].reserve(inputs[i].info.record_count);
-        SPF_RETURN_IF_ERROR(ForEachRawEntry(
-            inputs[i], 0,
-            [&](PageId pid, Lsn lsn, std::string_view payload) {
-              per_input[i].push_back(Entry{pid, lsn, std::string(payload)});
-              return true;
-            },
-            &pages));
+        RunScanner scan(device_, inputs[i]);
+        RunScanner::RawEntry e;
+        for (;;) {
+          SPF_ASSIGN_OR_RETURN(bool more, scan.Peek(&e));
+          if (!more) break;
+          per_input[i].push_back(
+              Entry{e.page_id, e.lsn, std::string(e.payload)});
+          scan.Advance();
+        }
+        pages += scan.pages_read();
         total += per_input[i].size();
       }
     }

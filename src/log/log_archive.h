@@ -9,9 +9,15 @@
 // by (page-id, LSN), with a header page carrying LSN bounds, page-range
 // bounds, and a fence index for positioned sequential reads. A bounded
 // merge ladder (merge_fanin runs of a level k-way merge into one run of
-// the next) keeps the run count O(log N), so fetching one page's full
-// archived history costs O(runs) positioned sequential reads instead of
-// one random log read per record.
+// the next) keeps the run count O(log N).
+//
+// Chain reads follow the per-page chain (FetchChains): a page's newest
+// archived record lies in exactly one run, that run yields every record
+// of the page between the image's PageLSN and that record, and the
+// oldest record's page_prev_lsn names the next (older) run to visit. A
+// repair therefore opens only the runs that hold its page's history —
+// runs of log the page was not touched in are never read — and a batch
+// of pages costs one positioned, gap-bridging pass per visited run.
 //
 // Volume layout (pages of the archive device):
 //   page 0, 1   double-buffered directory: magic, epoch, archived_upto,
@@ -45,7 +51,7 @@
 // min(archived_upto, master record): archived AND checkpointed ⇒
 // recyclable (bookkeeping only; see LogManager).
 //
-// Thread safety: consumers (FetchPageChain / FetchRange) may run
+// Thread safety: consumers (FetchChains / FetchRange) may run
 // concurrently with each other and with the background tick; run writes
 // and directory publishes take the writer side of one RW lock so a
 // reader never observes a half-written extent.
@@ -110,6 +116,28 @@ struct ArchiveRunInfo {
   Lsn log_end = 0;    ///< exclusive end of the archived log interval
 };
 
+/// One page's request to LogArchiver::FetchChains.
+struct ChainRequest {
+  PageId page_id = kInvalidPageId;  ///< page whose chain is wanted
+  /// PageLSN of the image the chain is replayed onto: records at or below
+  /// it are already applied, and the chain must link down to it.
+  Lsn floor = kInvalidLsn;
+  /// Exact LSN of the newest archived chain record (the first chain
+  /// pointer below the archive watermark).
+  Lsn newest = kInvalidLsn;
+};
+
+/// One request's outcome from LogArchiver::FetchChains.
+struct ChainFetch {
+  /// OK, or Corruption when the archived chain does not hold `newest`,
+  /// links to a record of another page, or bypasses `floor`; an archive
+  /// read error of a visited run fails that run's requests.
+  Status status;
+  /// The page's chain records in (floor, newest], NEWEST first (the LIFO
+  /// order replay pops). Empty unless `status` is OK.
+  std::vector<LogRecord> newest_first;
+};
+
 /// Tuning knobs (DatabaseOptions archive_* knobs map onto these).
 struct ArchiverOptions {
   /// Target entry bytes per level-0 run: a drain cuts a run once this
@@ -168,19 +196,26 @@ class LogArchiver {
   /// crashes via the directory).
   Lsn archived_upto() const;
 
-  /// Fetches page `id`'s archived history in (min_lsn_exclusive,
-  /// max_lsn_inclusive], ascending by LSN, as one positioned sequential
-  /// read per overlapping run. Appends to `*out`; returns the number of
-  /// archive data pages read.
-  StatusOr<uint64_t> FetchPageChain(PageId id, Lsn min_lsn_exclusive,
-                                    Lsn max_lsn_inclusive,
-                                    std::vector<LogRecord>* out);
+  /// Fetches the archived per-page chains of a set of pages by following
+  /// each chain through the runs, newest log interval first. Each
+  /// request's cursor starts at `newest` and lies in exactly one run;
+  /// only runs holding some cursor are read, each in one ascending pass
+  /// over its wanted pages (positioned at the last fence at or before
+  /// (page, floor), reading through a gap to the next wanted page when
+  /// that costs less than repositioning the archive device). After a
+  /// run's pass a cursor moves to the oldest collected record's
+  /// page_prev_lsn; the request completes once that is at or below its
+  /// floor. Fills `*out` (one entry per request, same order) and returns
+  /// the archive data pages read; InvalidArgument when a page id repeats.
+  /// A request with `newest` at or below its floor fetches nothing.
+  StatusOr<uint64_t> FetchChains(const std::vector<ChainRequest>& requests,
+                                 std::vector<ChainFetch>* out);
 
   /// Streams every archived record of pages in [lo, hi] with
   /// lsn > min_lsn_exclusive through `emit`. Emission is run-major in
   /// log order, so each individual page's records arrive ascending by
-  /// LSN. Returns the number of archive data pages read. The k-way
-  /// building block for batched repair and segment restore.
+  /// LSN. Returns the number of archive data pages read. The dense-range
+  /// reader of segment restore: one sequential stream per overlapping run.
   StatusOr<uint64_t> FetchRange(
       PageId lo, PageId hi, Lsn min_lsn_exclusive,
       const std::function<void(LogRecord&&)>& emit);
@@ -213,6 +248,7 @@ class LogArchiver {
     Lsn lsn;
     std::string payload;  ///< LogRecord::Serialize() bytes
   };
+  class RunScanner;  ///< forward cursor over one run's entry stream
 
   std::string EncodeDirectoryLocked() const;
   Status PublishDirectoryLocked();
@@ -226,22 +262,9 @@ class LogArchiver {
   Status WriteRun(std::vector<Entry>* entries, uint32_t level, Lsn log_start,
                   Lsn log_end, Run* out);
 
-  /// Walks a run's raw entries from `start_offset` (an entry boundary),
-  /// loading data pages on demand; `fn` returning false stops the walk.
-  /// The page id is decoded from the payload's fixed header without a
-  /// full (CRC-checked) parse. io_mu_ must be held.
-  Status ForEachRawEntry(
-      const Run& run, uint64_t start_offset,
-      const std::function<bool(PageId, Lsn, std::string_view)>& fn,
-      uint64_t* pages_read) const;
-
-  /// Reads a run's entries for pages in [lo, hi] with
-  /// lsn > min_lsn_exclusive, starting from the best fence. Returns data
-  /// pages read. io_mu_ (reader or writer) must be held.
-  StatusOr<uint64_t> StreamRun(const Run& run, PageId lo, PageId hi,
-                               Lsn min_lsn_exclusive,
-                               const std::function<void(LogRecord&&)>& emit)
-      const;
+  /// The live runs sorted by log_start (they tile the archived log).
+  /// io_mu_ must be held.
+  std::vector<const Run*> RunsByLogStart() const;
 
   /// Runs the merge ladder until no level holds merge_fanin runs.
   Status MergeLadderLocked() SPF_REQUIRES(tick_mu_);

@@ -1,6 +1,5 @@
 #include "log/log_source.h"
 
-#include <algorithm>
 #include <utility>
 
 namespace spf {
@@ -55,27 +54,16 @@ Status ArchiveLogSource::FetchChain(PageId id, Lsn backup_lsn, Lsn target,
   if (cur < backup_lsn) {
     return Status::Corruption("per-page chain does not reach the backup");
   }
-  // The remainder (backup_lsn, cur] is entirely archived: fetch it as one
-  // positioned sequential read per run instead of a read per record.
-  std::vector<LogRecord> archived;
+  // The remainder (backup_lsn, cur] is entirely archived: follow it
+  // through the sorted runs, one positioned read per run it touches.
+  std::vector<ChainFetch> fetched;
   SPF_ASSIGN_OR_RETURN(
-      uint64_t pages, archive_->FetchPageChain(id, backup_lsn, cur, &archived));
+      uint64_t pages,
+      archive_->FetchChains({ChainRequest{id, backup_lsn, cur}}, &fetched));
   stats->archive_reads += pages;
-  // The probe returns every record of the page in the interval, which is
-  // exactly the chain segment (all page records are chain-linked). Check
-  // the splice point and the anchor; ApplyChain's redo-sequence check
-  // validates each interior link.
-  if (archived.empty() || archived.back().lsn != cur) {
-    return Status::Corruption(
-        "archived per-page chain is missing its newest record");
-  }
-  const Lsn anchor = archived.front().page_prev_lsn;
-  if (anchor != backup_lsn && anchor != kInvalidLsn) {
-    return Status::Corruption("per-page chain does not reach the backup");
-  }
-  newest_first->reserve(newest_first->size() + archived.size());
-  for (auto it = archived.rbegin(); it != archived.rend(); ++it) {
-    newest_first->push_back(std::move(*it));
+  SPF_RETURN_IF_ERROR(fetched[0].status);
+  for (LogRecord& rec : fetched[0].newest_first) {
+    newest_first->push_back(std::move(rec));
   }
   return Status::OK();
 }

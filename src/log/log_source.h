@@ -8,9 +8,10 @@
 //                        backward with one random log read per record
 //                        (paper Figure 10 steps 3; the serial baseline).
 //   * ArchiveLogSource — walk the unarchived tail the same way, but stop
-//                        at the archiver's watermark and fetch everything
-//                        below it from the sorted runs as one positioned
-//                        sequential read per run (instant-restore style).
+//                        at the archiver's watermark and follow the rest
+//                        of the chain through the sorted runs: one
+//                        positioned sequential read per run that holds
+//                        part of it (instant-restore style).
 //
 // Both return an identical chain for an identical request — the archive
 // stores byte-exact copies of the log records — so consumers can be wired
@@ -64,8 +65,8 @@ class TailLogSource : public LogSource {
   const LogManager* const log_;
 };
 
-/// Tail walk down to the archiver's watermark, then one sorted-run probe
-/// for the archived remainder. Degrades to a pure tail walk while the
+/// Tail walk down to the archiver's watermark, then LogArchiver::
+/// FetchChains for the archived remainder. Degrades to a pure tail walk while the
 /// archive is empty, so wiring this in changes nothing until the archiver
 /// runs.
 class ArchiveLogSource : public LogSource {

@@ -1,8 +1,9 @@
 // Tests for the batched RecoveryScheduler and the background Scrubber:
 // batched multi-page repair must be byte-identical to serial repair, must
 // read shared log segments instead of one random read per chain record,
-// and a background sweep must heal cold-page faults no foreground read
-// would ever touch.
+// must read only the archive runs that hold the burst's chains, and a
+// background sweep must heal cold-page faults no foreground read would
+// ever touch.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +14,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "common/random.h"
 #include "db/database.h"
 
 namespace spf {
@@ -131,6 +133,73 @@ TEST(RecoverySchedulerTest, BatchReadsSharedSegmentsNotPerRecord) {
   EXPECT_EQ(sched.pages_repaired, victims.size());
   EXPECT_GT(sched.segment_fetches, 0u);
   EXPECT_GE(sched.chain_clusters, 1u);
+}
+
+TEST(RecoverySchedulerTest, SparseBurstReadsOnlyTheArchivedChains) {
+  // Backup images from the load, then churn on every other leaf that the
+  // merge ladder folds into a multi-level archive, then a short chain on
+  // each of a few scattered victims: their floors predate all the churn
+  // runs, but their chains sit in the newest run only.
+  constexpr int kSparseRecords = 20000;
+  constexpr int kSparseStride = 2500;
+  DatabaseOptions o = FastOptions();
+  o.archive_run_bytes = 16 * 1024;
+  o.archive_merge_fanin = 3;
+  auto db = bench::MakeLoadedDb(o, kSparseRecords);
+  ASSERT_TRUE(db->TakeFullBackup().ok());
+  std::set<PageId> victim_set;
+  for (int i = 0; i < kSparseRecords; i += kSparseStride) {
+    victim_set.insert(*db->LeafPageOf(Key(i)));
+  }
+  std::vector<PageId> victims(victim_set.begin(), victim_set.end());
+  ASSERT_EQ(victims.size(), 8u);
+  Random rng(11);
+  for (int u = 0; u < 1500; ++u) {
+    const int key = static_cast<int>(rng.Uniform(kSparseRecords));
+    if (victim_set.count(*db->LeafPageOf(Key(key)))) continue;
+    Txn t = db->BeginTxn();
+    ASSERT_TRUE(t.Update(Key(key), "churn" + std::to_string(u)).ok());
+    ASSERT_TRUE(t.Commit().ok());
+  }
+  ASSERT_TRUE(db->archiver()->ArchiveAll().ok());
+  for (int round = 0; round < 2; ++round) {
+    for (int i = 0; i < kSparseRecords; i += kSparseStride) {
+      Txn t = db->BeginTxn();
+      ASSERT_TRUE(t.Update(Key(i), "victim" + std::to_string(round)).ok());
+      ASSERT_TRUE(t.Commit().ok());
+    }
+  }
+  ASSERT_TRUE(db->FlushAll().ok());
+  ASSERT_TRUE(db->archiver()->ArchiveAll().ok());
+  std::set<uint32_t> levels;
+  for (const ArchiveRunInfo& r : db->archiver()->runs()) levels.insert(r.level);
+  ASSERT_GE(levels.size(), 3u) << "archive spans fewer than three levels";
+  const std::vector<std::string> live = SnapshotPages(db.get(), victims);
+
+  CorruptAll(db.get(), victims);
+  const DeviceStats before = db->archive_device()->stats();
+  auto archived = db->RecoverPages(victims);
+  const DeviceStats after = db->archive_device()->stats();
+  ASSERT_TRUE(archived.ok()) << archived.status().ToString();
+  EXPECT_EQ(archived->path, RecoveryPath::kSinglePage);
+  EXPECT_EQ(archived->repaired_single_page, victims.size());
+  const std::vector<std::string> from_archive = SnapshotPages(db.get(), victims);
+  EXPECT_GT(after.page_reads, before.page_reads) << "archive not used";
+  EXPECT_LE(after.page_reads - before.page_reads, 4 * victims.size())
+      << "archive pages read per repaired page above 4";
+
+  // Tail-only baseline: the same burst with no archive wired in.
+  db->recovery_scheduler()->SetArchive(nullptr);
+  CorruptAll(db.get(), victims);
+  auto tail = db->RecoverPages(victims);
+  db->recovery_scheduler()->SetArchive(db->archiver());
+  ASSERT_TRUE(tail.ok()) << tail.status().ToString();
+  EXPECT_EQ(tail->repaired_single_page, victims.size());
+  const std::vector<std::string> from_tail = SnapshotPages(db.get(), victims);
+  for (size_t i = 0; i < victims.size(); ++i) {
+    EXPECT_EQ(from_archive[i], from_tail[i]) << "page " << victims[i];
+    EXPECT_EQ(from_archive[i], live[i]) << "page " << victims[i];
+  }
 }
 
 TEST(RecoverySchedulerTest, EmptyAndDuplicateBatches) {
