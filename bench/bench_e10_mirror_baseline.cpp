@@ -10,7 +10,7 @@
 // repair latency for one failed page, plus the mirror's standing cost.
 
 #include "bench_util.h"
-#include "core/mirror_baseline.h"
+#include "comparators/mirror_baseline.h"
 
 namespace spf {
 namespace bench {

@@ -10,7 +10,7 @@
 // cached.
 
 #include "bench_util.h"
-#include "core/page_versioning.h"
+#include "comparators/page_versioning.h"
 
 namespace spf {
 namespace bench {

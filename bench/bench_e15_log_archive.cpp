@@ -25,7 +25,6 @@
 
 #include "bench_util.h"
 #include "log/log_archive.h"
-#include "log/log_source.h"
 
 namespace spf {
 namespace bench {
@@ -59,7 +58,7 @@ void RunRepairAxis() {
 
     // Baseline: the per-page chain walked backward through the log tail,
     // one random read per record.
-    spr->SetLogSource(nullptr);
+    spr->SetArchive(nullptr);
     SPF_CHECK(db->pool()->DiscardPage(*victim));
     db->data_device()->InjectSilentCorruption(*victim);
     uint64_t log_reads_before = spr->stats().log_reads;
@@ -72,8 +71,7 @@ void RunRepairAxis() {
     // Archived: drain the whole log into sorted runs, then repair the
     // same page through the run merge (positioned sequential reads).
     SPF_CHECK_OK(db->archiver()->ArchiveAll());
-    ArchiveLogSource archive_source(db->archiver(), db->log());
-    spr->SetLogSource(&archive_source);
+    spr->SetArchive(db->archiver());
     SPF_CHECK(db->pool()->DiscardPage(*victim));
     db->data_device()->InjectSilentCorruption(*victim);
     uint64_t merge_reads_before = db->archiver()->stats().merge_reads;
@@ -83,7 +81,6 @@ void RunRepairAxis() {
     double archive_s = archive_timer.ElapsedSeconds();
     uint64_t archive_reads =
         db->archiver()->stats().merge_reads - merge_reads_before;
-    spr->SetLogSource(nullptr);  // archive_source dies with this scope
 
     bool identical =
         std::memcmp(tail_img.data(), ref.data(), page_size) == 0 &&
@@ -199,6 +196,7 @@ void RunSparseBatchAxis() {
   std::vector<size_t> sizes{8, 64, 512};
   if (SmokeMode()) sizes = {64};
   RecoveryScheduler* scheduler = db->recovery_scheduler();
+  SinglePageRecovery* spr = db->single_page_recovery();
   for (size_t n : sizes) {
     SPF_CHECK_LE(n, leaves.size());
     std::vector<PageId> victims = leaves;
@@ -210,7 +208,7 @@ void RunSparseBatchAxis() {
     const std::vector<std::string> ref = snapshot(victims);
 
     // Baseline: no archive wired in, chains come from the log tail.
-    scheduler->SetArchive(nullptr);
+    spr->SetArchive(nullptr);
     corrupt(victims);
     const uint64_t segments_before = scheduler->stats().segment_fetches;
     SimTimer tail_timer(db->clock());
@@ -221,7 +219,7 @@ void RunSparseBatchAxis() {
         scheduler->stats().segment_fetches - segments_before;
     const std::vector<std::string> tail_img = snapshot(victims);
 
-    scheduler->SetArchive(db->archiver());
+    spr->SetArchive(db->archiver());
     corrupt(victims);
     const uint64_t archive_before = db->archive_device()->stats().page_reads;
     SimTimer archive_timer(db->clock());

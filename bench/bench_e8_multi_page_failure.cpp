@@ -51,14 +51,12 @@ void RunBatchedVsSerial() {
   double serial_seconds = 0, batched_seconds = 0;
 
   corrupt_all();
-  db->recovery_scheduler()->set_batch_repair(false);
   db->single_page_recovery()->ResetStats();
   {
     SimTimer timer(db->clock());
-    auto result = db->RepairPages(victims);
+    BatchRepairResult result = RepairEachPage(db.get(), victims);
     serial_seconds = timer.ElapsedSeconds();
-    SPF_CHECK(result.ok()) << result.status().ToString();
-    SPF_CHECK_EQ(result->repaired, victims.size());
+    SPF_CHECK_EQ(result.repaired, victims.size());
   }
   SinglePageRecoveryStats serial_stats = db->single_page_recovery()->stats();
   table.AddRow({"serial per-page", std::to_string(victims.size()),
@@ -68,7 +66,6 @@ void RunBatchedVsSerial() {
                 std::to_string(serial_stats.log_records_applied)});
 
   corrupt_all();
-  db->recovery_scheduler()->set_batch_repair(true);
   db->single_page_recovery()->ResetStats();
   {
     SimTimer timer(db->clock());

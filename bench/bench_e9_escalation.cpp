@@ -136,12 +136,17 @@ void Run() {
                                  &victims);
     for (PageId v : victims) db->data_device()->InjectSilentCorruption(v);
 
-    db->recovery_scheduler()->set_batch_repair(batched);
     SimTimer timer(db->clock());
-    auto result = db->RepairPages(victims);
+    BatchRepairResult result;
+    if (batched) {
+      auto batch = db->RepairPages(victims);
+      SPF_CHECK(batch.ok()) << batch.status().ToString();
+      result = std::move(batch).value();
+    } else {
+      result = RepairEachPage(db.get(), victims);
+    }
     double downtime = timer.ElapsedSeconds();
-    SPF_CHECK(result.ok()) << result.status().ToString();
-    SPF_CHECK_EQ(result->repaired, victims.size());
+    SPF_CHECK_EQ(result.repaired, victims.size());
     std::string label = std::to_string(victims.size()) + "-page burst: " +
                         (batched ? "batched scheduler" : "serial repair");
     rows.push_back({label, downtime, 0,

@@ -6,6 +6,7 @@
 
 #pragma once
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
@@ -180,6 +181,28 @@ inline std::unique_ptr<Database> MakeChainedBurstDb(
   victims->assign(leaves.begin(), leaves.end());
   db->pool()->DiscardAll();
   return db;
+}
+
+/// The serial per-page repair baseline (benches E8/E9): repairs `pages`
+/// in ascending id order, each with its own RecoveryScheduler::RepairPage
+/// — an independent backup read and chain walk per page, exactly like a
+/// foreground repair.
+inline BatchRepairResult RepairEachPage(Database* db,
+                                        std::vector<PageId> pages) {
+  std::sort(pages.begin(), pages.end());
+  pages.erase(std::unique(pages.begin(), pages.end()), pages.end());
+  PageBuffer frame(db->options().page_size);
+  BatchRepairResult result;
+  for (PageId p : pages) {
+    Status s = db->recovery_scheduler()->RepairPage(p, frame.data());
+    if (s.ok()) {
+      result.repaired++;
+    } else {
+      result.failed++;
+      result.failures.push_back({p, std::move(s)});
+    }
+  }
+  return result;
 }
 
 /// Applies `n` committed single-key updates (each adds one record to the

@@ -1,4 +1,4 @@
-#include "core/mirror_baseline.h"
+#include "comparators/mirror_baseline.h"
 
 namespace spf {
 
@@ -10,7 +10,7 @@ Status MirrorBaseline::SeedFromPrincipal(SimDevice* principal) {
     SPF_RETURN_IF_ERROR(principal->ReadPage(p, buf.data()));
     SPF_RETURN_IF_ERROR(mirror_->WritePage(p, buf.data()));
   }
-  MutexLock g(mu_);
+  std::lock_guard<std::mutex> g(mu_);
   applied_upto_ = log_->durable_lsn();
   return Status::OK();
 }
@@ -18,7 +18,7 @@ Status MirrorBaseline::SeedFromPrincipal(SimDevice* principal) {
 Status MirrorBaseline::CatchUp() {
   Lsn from;
   {
-    MutexLock g(mu_);
+    std::lock_guard<std::mutex> g(mu_);
     if (applied_upto_ == kInvalidLsn) {
       return Status::FailedPrecondition("mirror not seeded");
     }
@@ -59,7 +59,7 @@ Status MirrorBaseline::CatchUp() {
     applied++;
     writes++;
   }
-  MutexLock g(mu_);
+  std::lock_guard<std::mutex> g(mu_);
   applied_upto_ = end;
   stats_.records_scanned += scanned;
   stats_.records_applied += applied;
@@ -71,7 +71,7 @@ Status MirrorBaseline::CatchUp() {
 Status MirrorBaseline::RepairFrom(PageId id, char* out) {
   SPF_RETURN_IF_ERROR(CatchUp());
   SPF_RETURN_IF_ERROR(mirror_->ReadPage(id, out));
-  MutexLock g(mu_);
+  std::lock_guard<std::mutex> g(mu_);
   stats_.pages_served++;
   return Status::OK();
 }

@@ -13,12 +13,16 @@
 //     chain already present in the recovery log";
 //   * it requires "keeping an entire mirror database current at all times"
 //     — double the storage and continuous apply bandwidth.
+//
+// A paper comparator, not part of the engine: it lives with the benches
+// and drives the engine only through its public headers.
 
 #pragma once
 
+#include <mutex>
+
 #include "btree/btree_log.h"
 #include "common/sim_clock.h"
-#include "common/sync.h"
 #include "log/log_manager.h"
 #include "storage/sim_device.h"
 
@@ -54,7 +58,7 @@ class MirrorBaseline {
   Status RepairFrom(PageId id, char* out);
 
   MirrorStats stats() const {
-    MutexLock g(mu_);
+    std::lock_guard<std::mutex> g(mu_);
     return stats_;
   }
 
@@ -63,12 +67,10 @@ class MirrorBaseline {
   SimDevice* const mirror_;
   SimClock* const clock_;
 
-  // Held across mirror-device reads/writes during catch-up, so it must
-  // order BELOW kDevice — the rank checker caught the original kStats
-  // (leaf) ranking as an inversion the first time CatchUp() ran.
-  mutable OrderedMutex mu_{LockRank::kMirror};
-  Lsn applied_upto_ SPF_GUARDED_BY(mu_) = kInvalidLsn;
-  MirrorStats stats_ SPF_GUARDED_BY(mu_);
+  // Guards applied_upto_ and stats_; never held across device I/O.
+  mutable std::mutex mu_;
+  Lsn applied_upto_ = kInvalidLsn;
+  MirrorStats stats_;
 };
 
 }  // namespace spf

@@ -1,4 +1,4 @@
-#include "core/page_versioning.h"
+#include "comparators/page_versioning.h"
 
 #include "btree/btree_log.h"
 #include "btree/node_layout.h"
@@ -45,7 +45,7 @@ Status PageVersioning::RollBackTo(PageView page, Lsn as_of_lsn) {
   while (page.page_lsn() != kInvalidLsn && page.page_lsn() > as_of_lsn) {
     auto rec_or = log_->Read(page.page_lsn());
     {
-      MutexLock g(mu_);
+      std::lock_guard<std::mutex> g(mu_);
       stats_.log_reads++;
     }
     if (!rec_or.ok()) return rec_or.status();
@@ -57,7 +57,7 @@ Status PageVersioning::RollBackTo(PageView page, Lsn as_of_lsn) {
     page.set_page_lsn(rec.page_prev_lsn);
     rolled++;
   }
-  MutexLock g(mu_);
+  std::lock_guard<std::mutex> g(mu_);
   stats_.versions_built++;
   stats_.records_rolled_back += rolled;
   return Status::OK();

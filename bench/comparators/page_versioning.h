@@ -12,10 +12,14 @@
 // image would need the donated records, which physiological logging does
 // not retain on this page's chain. Real systems face the same boundary and
 // cap version retention at structural changes.
+//
+// A paper comparator, not part of the engine: it lives with the benches
+// and drives the engine only through its public headers.
 
 #pragma once
 
-#include "common/sync.h"
+#include <mutex>
+
 #include "log/log_manager.h"
 #include "storage/page.h"
 
@@ -39,7 +43,7 @@ class PageVersioning {
   Status RollBackTo(PageView page, Lsn as_of_lsn);
 
   PageVersionStats stats() const {
-    MutexLock g(mu_);
+    std::lock_guard<std::mutex> g(mu_);
     return stats_;
   }
 
@@ -49,8 +53,8 @@ class PageVersioning {
   Status UndoOnPage(const LogRecord& rec, PageView page);
 
   LogManager* const log_;
-  mutable OrderedMutex mu_{LockRank::kStats};
-  PageVersionStats stats_ SPF_GUARDED_BY(mu_);
+  mutable std::mutex mu_;  // guards stats_
+  PageVersionStats stats_;
 };
 
 }  // namespace spf

@@ -55,7 +55,6 @@ int main() {
   // are the only thing advancing the simulated clock.)
   options.scrub_wall_interval = std::chrono::milliseconds(2);
   options.recovery_workers = 4;
-  options.batch_repair = true;
   // auto_escalate defaults to true: detection sites feed the funnel.
   auto db = std::move(Database::Create(options)).value();
 

@@ -394,5 +394,12 @@ Status RedoBTreeRecord(const LogRecord& rec, PageView page) {
   }
 }
 
+Status ReplayPageRecord(const LogRecord& rec, PageView page) {
+  SPF_RETURN_IF_ERROR(RedoBTreeRecord(rec, page));
+  page.set_page_lsn(rec.lsn);
+  page.bump_update_count();
+  return Status::OK();
+}
+
 }  // namespace btree_log
 }  // namespace spf

@@ -143,5 +143,12 @@ bool IsAdoptParent(std::string_view body);
 /// CHECK failure.
 Status RedoBTreeRecord(const LogRecord& rec, PageView page);
 
+/// One redo step of every replay path (single-page and batched repair,
+/// media restore, restart redo): RedoBTreeRecord, then the PageLSN
+/// advances to rec.lsn and update_count bumps once — matching the live
+/// path's per-record bump (LogManager::AppendPageRecord), so a replayed
+/// image is byte-identical to the one it replaces.
+Status ReplayPageRecord(const LogRecord& rec, PageView page);
+
 }  // namespace btree_log
 }  // namespace spf

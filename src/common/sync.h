@@ -150,7 +150,6 @@ enum class LockRank : uint16_t {
   kLogState = 105,      ///< LogManager::mu_ (reservation + staging)
   kRestoreGate = 110,   ///< RestoreGate::mu_ (admission / segments)
   kBackup = 115,        ///< BackupManager::mu_ (slots + catalog)
-  kMirror = 118,        ///< MirrorBaseline state (held across mirror I/O)
   kServerQueue = 120,   ///< NetworkServer work/rearm queues
   kDevice = 125,        ///< SimDevice / SimLogDevice state
   kStats = 130,         ///< leaf counters; terminal — hold nothing beyond
@@ -181,7 +180,6 @@ inline const char* LockRankName(LockRank r) {
     case LockRank::kLogState: return "log-state";
     case LockRank::kRestoreGate: return "restore-gate";
     case LockRank::kBackup: return "backup";
-    case LockRank::kMirror: return "mirror";
     case LockRank::kServerQueue: return "server-queue";
     case LockRank::kDevice: return "device";
     case LockRank::kStats: return "stats";

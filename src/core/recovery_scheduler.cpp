@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <map>
 #include <queue>
 #include <thread>
 
@@ -137,9 +138,14 @@ struct RecoveryScheduler::PageTask {
 
 // --- scheduler --------------------------------------------------------------
 
+namespace {
+/// Segment size for the shared log reads of a cluster walk.
+constexpr uint64_t kLogSegmentBytes = 256 * 1024;
+}  // namespace
+
 RecoveryScheduler::RecoveryScheduler(SinglePageRecovery* spr,
-                                     RecoverySchedulerOptions options)
-    : spr_(spr), options_(options) {}
+                                     uint32_t num_workers)
+    : spr_(spr), num_workers_(num_workers) {}
 
 RecoveryScheduler::~RecoveryScheduler() = default;
 
@@ -149,16 +155,6 @@ Status RecoveryScheduler::RepairPage(PageId id, char* frame) {
     stats_.single_repairs++;
   }
   return spr_->RepairPage(id, frame);
-}
-
-void RecoveryScheduler::set_batch_repair(bool on) {
-  MutexLock g(stats_mu_);
-  options_.batch_repair = on;
-}
-
-bool RecoveryScheduler::batch_repair() const {
-  MutexLock g(stats_mu_);
-  return options_.batch_repair;
 }
 
 RecoverySchedulerStats RecoveryScheduler::stats() const {
@@ -172,7 +168,7 @@ void RecoveryScheduler::ResetStats() {
 }
 
 std::vector<RecoveryScheduler::PageTask> RecoveryScheduler::PrepareBatch(
-    std::vector<PageId>* pages, bool* batched) {
+    std::vector<PageId>* pages) {
   std::sort(pages->begin(), pages->end());
   pages->erase(std::unique(pages->begin(), pages->end()), pages->end());
 
@@ -185,7 +181,6 @@ std::vector<RecoveryScheduler::PageTask> RecoveryScheduler::PrepareBatch(
   MutexLock g(stats_mu_);
   stats_.batches++;
   stats_.pages_requested += pages->size();
-  if (batched != nullptr) *batched = options_.batch_repair;
   return tasks;
 }
 
@@ -210,9 +205,9 @@ StatusOr<BatchRepairResult> RecoveryScheduler::RepairBatchImpl(
   {
     MutexLock batch_guard(batch_mu_);
 
-    bool batched;
-    std::vector<PageTask> tasks = PrepareBatch(&pages, &batched);
-    result = batched ? RepairBatched(&tasks) : RepairSerial(&tasks);
+    std::vector<PageTask> tasks = PrepareBatch(&pages);
+    PartialRestoreBreakdown unused;
+    result = RepairBatched(&tasks, std::nullopt, &unused);
 
     MutexLock g(stats_mu_);
     stats_.pages_repaired += result.repaired;
@@ -235,8 +230,10 @@ StatusOr<BatchRepairResult> RecoveryScheduler::RepairBatchFromBackup(
     PartialRestoreBreakdown* breakdown) {
   MutexLock batch_guard(batch_mu_);
 
-  std::vector<PageTask> tasks = PrepareBatch(&pages, nullptr);
-  BatchRepairResult result = RestoreBatched(&tasks, backup, breakdown);
+  std::vector<PageTask> tasks = PrepareBatch(&pages);
+  PartialRestoreBreakdown local;
+  BatchRepairResult result = RepairBatched(
+      &tasks, backup, breakdown != nullptr ? breakdown : &local);
 
   {
     MutexLock g(stats_mu_);
@@ -247,36 +244,22 @@ StatusOr<BatchRepairResult> RecoveryScheduler::RepairBatchFromBackup(
   return result;
 }
 
-BatchRepairResult RecoveryScheduler::RepairSerial(
-    std::vector<PageTask>* tasks) {
-  // The per-page baseline: each page pays its own backup read plus one
-  // random log read per chain record, exactly like a foreground repair.
-  BatchRepairResult result;
+BatchRepairResult RecoveryScheduler::RepairBatched(
+    std::vector<PageTask>* tasks, std::optional<BackupId> restore_from,
+    PartialRestoreBreakdown* bd) {
+  SimTimer timer(spr_->clock());
   const uint32_t page_size = spr_->page_size();
-  for (PageTask& task : *tasks) {
-    task.frame = std::make_unique<char[]>(page_size);
-    Status s = spr_->RepairPage(task.id, task.frame.get());
-    if (s.ok()) {
-      result.repaired++;
-    } else {
-      result.failed++;
-      result.failures.push_back({task.id, std::move(s)});
-    }
-  }
-  return result;
-}
-
-void RecoveryScheduler::LookupPhase(std::vector<PageTask>* tasks,
-                                    bool anchor_only) {
-  // Spawn the worker threads on first batched use only: most Database
-  // instances (tests, crash/restart cycles) never repair a batch.
+  // Spawn the worker threads on first use only: most Database instances
+  // (tests, crash/restart cycles) never repair a batch.
   if (workers_ == nullptr) {
-    workers_ = std::make_unique<WorkerPool>(options_.num_workers);
+    workers_ = std::make_unique<WorkerPool>(num_workers_);
   }
-  const uint32_t page_size = spr_->page_size();
+
+  // --- phase 0: PRI lookups (in-memory) -------------------------------------
+  // Partial restore tolerates entries whose backup reference was lost.
   for (PageTask& task : *tasks) {
-    auto entry_or = anchor_only ? spr_->LookupChainAnchor(task.id)
-                                : spr_->LookupEntry(task.id);
+    auto entry_or = restore_from ? spr_->LookupChainAnchor(task.id)
+                                 : spr_->LookupEntry(task.id);
     if (!entry_or.ok()) {
       task.Fail(entry_or.status());
       continue;
@@ -284,135 +267,64 @@ void RecoveryScheduler::LookupPhase(std::vector<PageTask>* tasks,
     task.entry = *entry_or;
     task.frame = std::make_unique<char[]>(page_size);
   }
-}
-
-BatchRepairResult RecoveryScheduler::RepairBatched(
-    std::vector<PageTask>* tasks) {
-  SimTimer timer(spr_->clock());
-  const uint32_t page_size = spr_->page_size();
-
-  // --- phase 0: PRI lookups (in-memory) -------------------------------------
-  LookupPhase(tasks, /*anchor_only=*/false);
 
   // --- phase 1: backup loads, grouped by backup source ----------------------
-  // Pages restored from the same source are read in ascending location
-  // order (for a full backup, one pass of its sorted reader — sequential
-  // runs with short gaps read through, a partial restore). Groups fan out
-  // across the worker pool; each group runs in order on one worker to
-  // keep its access pattern.
-  std::vector<size_t> order;
-  for (size_t i = 0; i < tasks->size(); ++i) {
-    if (!(*tasks)[i].done) order.push_back(i);
-  }
-  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    const PriEntry& ea = (*tasks)[a].entry;
-    const PriEntry& eb = (*tasks)[b].entry;
-    if (ea.backup.kind != eb.backup.kind) return ea.backup.kind < eb.backup.kind;
-    if (ea.backup.value != eb.backup.value) return ea.backup.value < eb.backup.value;
-    return (*tasks)[a].id < (*tasks)[b].id;
-  });
-  std::vector<std::vector<size_t>> groups;
-  for (size_t idx : order) {
-    const BackupRef& ref = (*tasks)[idx].entry.backup;
-    // Pages restored from the SAME full backup stay in one group (in-order
-    // reads are sequential, a partial restore); every other backup kind is
-    // an independent point read, so each page fans out as its own group.
-    bool join = !groups.empty() && ref.kind == BackupKind::kFullBackup;
-    if (join) {
-      const BackupRef& prev = (*tasks)[groups.back().back()].entry.backup;
-      join = prev.kind == ref.kind && prev.value == ref.value;
-    }
-    if (!join) groups.emplace_back();
-    groups.back().push_back(idx);
-  }
-  workers_->ParallelFor(groups.size(), [&](size_t g) {
-    const BackupRef& ref = (*tasks)[groups[g].front()].entry.backup;
-    if (ref.kind == BackupKind::kFullBackup) {
-      LoadFromFullBackup(tasks, groups[g], ref.value);
-      return;
-    }
-    for (size_t idx : groups[g]) {
-      PageTask& task = (*tasks)[idx];
-      Status s = spr_->LoadBackupImage(task.id, task.entry, task.frame.get(),
-                                       &task.acc);
-      if (!s.ok()) {
-        task.Fail(std::move(s));
-        continue;
-      }
-      task.SetChainTarget(PageView(task.frame.get(), page_size).page_lsn());
-    }
-  });
-  {
-    MutexLock g(stats_mu_);
-    stats_.backup_groups += groups.size();
-  }
-
-  // --- phase 2: coordinated chain walk over shared log segments -------------
-  WalkClusters(tasks, nullptr);
-
-  // --- phase 3: apply chains + verify + heal, fanned out --------------------
-  ApplyPhase(tasks);
-
-  return CollectOutcomes(tasks, timer);
-}
-
-BatchRepairResult RecoveryScheduler::RestoreBatched(
-    std::vector<PageTask>* tasks, BackupId backup,
-    PartialRestoreBreakdown* breakdown) {
-  SimTimer timer(spr_->clock());
-  const uint32_t page_size = spr_->page_size();
-  PartialRestoreBreakdown local;
-  PartialRestoreBreakdown* bd = breakdown != nullptr ? breakdown : &local;
-
-  LookupPhase(tasks, /*anchor_only=*/true);
-
-  // --- restore phase: one sorted backup read of the damaged set ------------
+  // Pages restored from the same full backup are read in one ascending
+  // pass of its sorted reader (sequential runs with short gaps read
+  // through). Every other source is an independent point read; those
+  // pages fan out across the worker pool only AFTER the sorted passes, so
+  // no per-page slot read interleaves with a pass on the same device.
+  //
+  // Partial restore reads kFullBackup pages and pages whose reference was
+  // LOST (kNone — where RepairBatch has to escalate) from `restore_from`.
   // Any per-page reference (individual copy, in-log image, format record)
   // is NEWER than the full backup — the index collapses to kFullBackup at
   // every OnFullBackup — and for a page born after the backup it is the
   // ONLY valid source: the page's full-backup slot holds pre-birth bytes.
-  // Those load per-page. Pages still covered by the backup (kFullBackup)
-  // and pages whose reference was LOST (kNone — where RepairBatch has to
-  // escalate) take the sorted read of the full backup.
   SimTimer restore_timer(spr_->clock());
-  std::vector<size_t> from_backup;
+  // Tasks are in ascending id order (PrepareBatch sorted them), so every
+  // full-backup group is too.
+  std::map<BackupId, std::vector<size_t>> from_full;
   std::vector<size_t> from_per_page;
   for (size_t i = 0; i < tasks->size(); ++i) {
-    if ((*tasks)[i].done) continue;
-    BackupKind kind = (*tasks)[i].entry.backup.kind;
-    if (kind == BackupKind::kFullBackup || kind == BackupKind::kNone) {
-      from_backup.push_back(i);
+    const PageTask& task = (*tasks)[i];
+    if (task.done) continue;
+    const BackupRef& ref = task.entry.backup;
+    if (restore_from && (ref.kind == BackupKind::kFullBackup ||
+                         ref.kind == BackupKind::kNone)) {
+      from_full[*restore_from].push_back(i);
+    } else if (ref.kind == BackupKind::kFullBackup) {
+      from_full[ref.value].push_back(i);
     } else {
       from_per_page.push_back(i);
     }
   }
-  if (!from_backup.empty()) {
-    // Tasks are in ascending id order (PrepareBatch sorted the pages), so
-    // the backup is read in one ascending pass. Runs one thread: fanning
-    // ranges out would break the access pattern.
-    bd->backup_runs += LoadFromFullBackup(tasks, from_backup, backup);
-    for (size_t idx : from_backup) {
+  for (const auto& [backup, idxs] : from_full) {
+    bd->backup_runs += LoadFromFullBackup(tasks, idxs, backup);
+    for (size_t idx : idxs) {
       if ((*tasks)[idx].status.ok()) bd->backup_pages_loaded++;
     }
   }
-  if (!from_per_page.empty()) {
-    workers_->ParallelFor(from_per_page.size(), [&](size_t i) {
-      PageTask& task = (*tasks)[from_per_page[i]];
-      Status s = spr_->LoadBackupImage(task.id, task.entry, task.frame.get(),
-                                       &task.acc);
-      if (!s.ok()) {
-        task.Fail(std::move(s));
-        return;
-      }
-      task.SetChainTarget(PageView(task.frame.get(), page_size).page_lsn());
-    });
-    for (size_t idx : from_per_page) {
-      if ((*tasks)[idx].status.ok()) bd->per_page_loads++;
+  workers_->ParallelFor(from_per_page.size(), [&](size_t i) {
+    PageTask& task = (*tasks)[from_per_page[i]];
+    Status s = spr_->LoadBackupImage(task.id, task.entry, task.frame.get(),
+                                     &task.acc);
+    if (!s.ok()) {
+      task.Fail(std::move(s));
+      return;
     }
+    task.SetChainTarget(PageView(task.frame.get(), page_size).page_lsn());
+  });
+  for (size_t idx : from_per_page) {
+    if ((*tasks)[idx].status.ok()) bd->per_page_loads++;
   }
   bd->restore_sim_seconds = restore_timer.ElapsedSeconds();
+  {
+    MutexLock g(stats_mu_);
+    stats_.backup_groups += from_full.size() + from_per_page.size();
+  }
 
-  // --- replay phase: shared-segment cluster walk + apply + heal -------------
+  // --- phases 2-3: shared-segment cluster walk, then apply + verify + heal ---
   SimTimer replay_timer(spr_->clock());
   WalkClusters(tasks, &bd->segment_fetches);
   ApplyPhase(tasks);
@@ -458,8 +370,8 @@ uint64_t RecoveryScheduler::LoadFromFullBackup(std::vector<PageTask>* tasks,
   return *streams_or;
 }
 
-size_t RecoveryScheduler::WalkClusters(std::vector<PageTask>* tasks,
-                                       uint64_t* fetches) {
+void RecoveryScheduler::WalkClusters(std::vector<PageTask>* tasks,
+                                     uint64_t* fetches) {
   // Cluster pages whose chain ranges (backup_lsn, target] overlap; each
   // cluster is walked once, popping records in descending LSN order so
   // every shared log segment is fetched exactly once.
@@ -492,13 +404,10 @@ size_t RecoveryScheduler::WalkClusters(std::vector<PageTask>* tasks,
     cluster_count++;
     pos = end;
   }
-  if (fetches != nullptr) *fetches += total_fetches;
-  {
-    MutexLock g(stats_mu_);
-    stats_.chain_clusters += cluster_count;
-    stats_.segment_fetches += total_fetches;
-  }
-  return cluster_count;
+  *fetches += total_fetches;
+  MutexLock g(stats_mu_);
+  stats_.chain_clusters += cluster_count;
+  stats_.segment_fetches += total_fetches;
 }
 
 void RecoveryScheduler::ApplyPhase(std::vector<PageTask>* tasks) {
@@ -544,8 +453,8 @@ uint64_t RecoveryScheduler::WalkCluster(std::vector<PageTask>* tasks,
                                         const std::vector<size_t>& members) {
   // Snapshot the archive watermark once per cluster: it only advances, so
   // every chain pointer below it is guaranteed to be in a published run.
-  const Lsn archived_upto =
-      archive_ != nullptr ? archive_->archived_upto() : 0;
+  LogArchiver* const archive = spr_->archive();
+  const Lsn archived_upto = archive != nullptr ? archive->archived_upto() : 0;
   // Per-member newest archived chain LSN, kInvalidLsn while the walk is
   // still in the tail. Set when a chain pointer drops below the watermark;
   // the archived remainder is fetched in one batch after the heap drains.
@@ -566,7 +475,7 @@ uint64_t RecoveryScheduler::WalkCluster(std::vector<PageTask>* tasks,
     }
   }
 
-  LogSegmentReader reader(spr_->log(), options_.log_segment_bytes);
+  LogSegmentReader reader(spr_->log(), kLogSegmentBytes);
   while (!heap.empty()) {
     auto [lsn, m] = heap.top();
     heap.pop();
@@ -626,10 +535,11 @@ void RecoveryScheduler::FetchArchivedChains(
     owner.push_back(m);
   }
   if (requests.empty()) return;
-  SPF_CHECK(archive_ != nullptr) << "archived chain without an archive";
+  LogArchiver* const archive = spr_->archive();
+  SPF_CHECK(archive != nullptr) << "archived chain without an archive";
 
   std::vector<ChainFetch> fetched;
-  auto pages_or = archive_->FetchChains(requests, &fetched);
+  auto pages_or = archive->FetchChains(requests, &fetched);
   for (size_t i = 0; i < requests.size(); ++i) {
     PageTask& task = (*tasks)[members[owner[i]]];
     const Status& s = pages_or.ok() ? fetched[i].status : pages_or.status();

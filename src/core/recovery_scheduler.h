@@ -9,9 +9,10 @@
 // failure" (Sauer, Graefe & Härder, 2017) shows the coordinated fix, which
 // this scheduler implements for batches:
 //
-//   1. group the failed pages by BACKUP SOURCE (all pages restored from
-//      the same full backup are read in page-id order — sequential backup
-//      I/O, like a partial restore);
+//   1. group the failed pages by BACKUP SOURCE: all pages restored from
+//      the same full backup are read first, in one page-id-ordered pass
+//      (sequential backup I/O, like a partial restore); every page with a
+//      per-page source then loads on its own, fanned out over the workers;
 //   2. cluster the per-page chains by OVERLAPPING LOG RANGES
 //      (backup-LSN .. target-LSN) and walk each cluster's chains together:
 //      a max-heap over every page's next chain pointer pops records in
@@ -21,6 +22,9 @@
 //   3. apply each page's collected chain and heal the device copy, fanned
 //      out over a small worker pool (stats are sharded in
 //      SinglePageRecovery, so concurrent repairs do not serialize).
+//
+// RepairBatch and partial restore (RepairBatchFromBackup) run this one
+// pipeline; they differ only in where kFullBackup / kNone pages load from.
 //
 // The scheduler is also the PageRepairer installed in the buffer pool, so
 // foreground read-time detections (Figure 8), Database::Scrub(), the
@@ -32,24 +36,13 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "common/sync.h"
 #include "core/single_page_recovery.h"
 
 namespace spf {
-
-/// Tuning knobs for the RecoveryScheduler.
-struct RecoverySchedulerOptions {
-  /// Worker threads for the fan-out phases. 0 runs every phase inline.
-  uint32_t num_workers = 4;
-  /// Coordinated batch repair. When false, RepairBatch degrades to the
-  /// serial per-page baseline (one independent chain walk per page) —
-  /// the comparison axis of bench E8.
-  bool batch_repair = true;
-  /// Segment size for shared log reads in the batched path.
-  uint64_t log_segment_bytes = 256 * 1024;
-};
 
 /// Cumulative counters across all batches (RecoveryScheduler::stats()).
 struct RecoverySchedulerStats {
@@ -65,8 +58,8 @@ struct RecoverySchedulerStats {
   uint64_t partial_restores = 0;    ///< RepairBatchFromBackup invocations
 };
 
-/// Phase breakdown of one RepairBatchFromBackup call (feeds the partial
-/// rows of MediaRecoveryStats).
+/// Phase breakdown of one batch (RepairBatchFromBackup hands it out; it
+/// feeds the partial rows of MediaRecoveryStats).
 struct PartialRestoreBreakdown {
   uint64_t backup_pages_loaded = 0;  ///< images read from the full backup
   uint64_t backup_runs = 0;          ///< sequential backup read streams
@@ -99,8 +92,10 @@ struct BatchRepairResult {
 /// pool when the failure funnel is disabled.
 class RecoveryScheduler : public PageRepairer {
  public:
-  /// `spr` provides the per-page building blocks; `options` is copied.
-  RecoveryScheduler(SinglePageRecovery* spr, RecoverySchedulerOptions options);
+  /// `spr` provides the per-page building blocks and the chain source
+  /// (SinglePageRecovery::SetArchive). `num_workers` threads serve the
+  /// fan-out phases; 0 runs every phase inline.
+  RecoveryScheduler(SinglePageRecovery* spr, uint32_t num_workers);
   /// Joins the worker pool (if one was ever spawned).
   ~RecoveryScheduler() override;
 
@@ -139,24 +134,10 @@ class RecoveryScheduler : public PageRepairer {
   /// copy, in-log image, or the format record of a page born after the
   /// backup, which the backup does not contain) load from that source
   /// instead. All per-page chains are then replayed through one
-  /// shared-segment cluster walk. Always runs batched regardless of the
-  /// batch_repair toggle.
+  /// shared-segment cluster walk — the same pipeline RepairBatch runs.
   StatusOr<BatchRepairResult> RepairBatchFromBackup(
       std::vector<PageId> pages, BackupId backup,
       PartialRestoreBreakdown* breakdown = nullptr);
-
-  /// Wires the sorted log archive in: cluster walks then stop their tail
-  /// reads at the archiver's watermark and fetch the archived remainder
-  /// of every chain in the cluster with one chain-following fetch over
-  /// the runs (LogArchiver::FetchChains). nullptr (the default) keeps the
-  /// pure tail walk. Install during startup; not thread-safe vs.
-  /// in-flight batches.
-  void SetArchive(LogArchiver* archive) { archive_ = archive; }
-
-  /// Runtime toggle for the batched-vs-serial comparison (bench E8/E9).
-  void set_batch_repair(bool on);
-  /// Current value of the batched-repair toggle.
-  bool batch_repair() const;
 
   /// Cumulative counters snapshot.
   RecoverySchedulerStats stats() const;
@@ -169,42 +150,40 @@ class RecoveryScheduler : public PageRepairer {
 
   /// Builds the deduplicated task list and bumps the request counters.
   /// Caller must hold batch_mu_.
-  std::vector<PageTask> PrepareBatch(std::vector<PageId>* pages, bool* batched);
+  std::vector<PageTask> PrepareBatch(std::vector<PageId>* pages);
 
   StatusOr<BatchRepairResult> RepairBatchImpl(std::vector<PageId> pages,
                                               bool notify_sink);
 
-  BatchRepairResult RepairSerial(std::vector<PageTask>* tasks);
-  BatchRepairResult RepairBatched(std::vector<PageTask>* tasks);
-  BatchRepairResult RestoreBatched(std::vector<PageTask>* tasks,
-                                   BackupId backup,
-                                   PartialRestoreBreakdown* breakdown);
+  /// The one batch pipeline: lookups, backup loads, cluster walks, apply.
+  /// `restore_from` set makes it a partial restore: anchors come from
+  /// LookupChainAnchor, and pages whose entry is kFullBackup or kNone load
+  /// from that full backup. Fills `*bd` with the phase breakdown.
+  BatchRepairResult RepairBatched(std::vector<PageTask>* tasks,
+                                  std::optional<BackupId> restore_from,
+                                  PartialRestoreBreakdown* bd);
 
-  /// Phase 0 (shared): PRI lookups + frame allocation. `anchor_only`
-  /// (partial restore) tolerates entries whose backup reference was lost.
-  void LookupPhase(std::vector<PageTask>* tasks, bool anchor_only);
-  /// Phase 1 (shared): loads the tasks `idxs` (ascending page ids) from
-  /// full backup `backup` through its sorted reader, verifying every
-  /// image. A failed read or verification fails only that task. Returns
-  /// the sequential backup read streams.
+  /// Phase 1: loads the tasks `idxs` (ascending page ids) from full
+  /// backup `backup` through its sorted reader, verifying every image. A
+  /// failed read or verification fails only that task. Returns the
+  /// sequential backup read streams.
   uint64_t LoadFromFullBackup(std::vector<PageTask>* tasks,
                               const std::vector<size_t>& idxs,
                               BackupId backup);
-  /// Phase 2 (shared): clusters overlapping chain ranges and walks each.
-  /// Adds this batch's segment fetch count to `*fetches` when non-null;
-  /// returns the number of clusters walked.
-  size_t WalkClusters(std::vector<PageTask>* tasks, uint64_t* fetches);
-  /// Phase 3 (shared): applies collected chains, verifies, heals.
+  /// Phase 2: clusters overlapping chain ranges and walks each. Adds this
+  /// batch's segment fetch count to `*fetches`.
+  void WalkClusters(std::vector<PageTask>* tasks, uint64_t* fetches);
+  /// Phase 3: applies collected chains, verifies, heals.
   void ApplyPhase(std::vector<PageTask>* tasks);
-  /// Outcome collection (shared): merges per-task stats, publishes the
-  /// amortized per-page cost, fills the result.
+  /// Outcome collection: merges per-task stats, publishes the amortized
+  /// per-page cost, fills the result.
   BatchRepairResult CollectOutcomes(std::vector<PageTask>* tasks,
                                     const SimTimer& timer);
 
   /// Phase 2 core: walks one cluster of overlapping chains via a max-heap
   /// of per-page next pointers, reading shared log segments once each.
-  /// With an archive wired in, the walk stops at the watermark and the
-  /// archived remainders arrive via FetchArchivedChains. Returns the
+  /// With an archive wired into spr_, the walk stops at the watermark and
+  /// the archived remainders arrive via FetchArchivedChains. Returns the
   /// cluster's segment fetch count.
   uint64_t WalkCluster(std::vector<PageTask>* tasks,
                        const std::vector<size_t>& members);
@@ -218,8 +197,7 @@ class RecoveryScheduler : public PageRepairer {
                            uint64_t* archive_pages);
 
   SinglePageRecovery* const spr_;
-  LogArchiver* archive_ = nullptr;  ///< optional sorted-run chain source
-  RecoverySchedulerOptions options_;
+  const uint32_t num_workers_;
   /// Receives the unrepairable page ids of a completed RepairBatch.
   std::function<void(std::vector<PageId>)> escalation_sink_;
   /// Created on first batched repair (guarded by batch_mu_).
@@ -227,7 +205,7 @@ class RecoveryScheduler : public PageRepairer {
 
   OrderedMutex batch_mu_{LockRank::kRepairBatch};  ///< one batch in flight
 
-  mutable OrderedMutex stats_mu_{LockRank::kStats};  ///< stats_ + options_
+  mutable OrderedMutex stats_mu_{LockRank::kStats};  ///< guards stats_
   RecoverySchedulerStats stats_ SPF_GUARDED_BY(stats_mu_);
 };
 

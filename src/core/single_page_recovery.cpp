@@ -16,9 +16,7 @@ SinglePageRecovery::SinglePageRecovery(PriManager* pri_manager,
       backups_(backups),
       data_device_(data_device),
       clock_(clock),
-      page_size_(data_device->page_size()),
-      default_source_(std::make_unique<TailLogSource>(log)),
-      source_(default_source_.get()) {}
+      page_size_(data_device->page_size()) {}
 
 StatusOr<PriEntry> SinglePageRecovery::LookupEntry(PageId id) const {
   auto entry_or = pri_manager_->pri()->Lookup(id);
@@ -84,14 +82,10 @@ Status SinglePageRecovery::LoadBackupImage(PageId id, const PriEntry& entry,
       if (rec.type != LogRecordType::kPageFormat || rec.page_id != id) {
         return Status::Corruption("format-record backup reference is wrong");
       }
-      std::memset(frame, 0, page_size_);
-      PageView page(frame, page_size_);
-      SPF_RETURN_IF_ERROR(btree_log::RedoBTreeRecord(rec, page));
       // Formatting anchored the per-page chain at this record.
-      page.set_page_lsn(rec.lsn);
-      // The live format bumped once when the record was logged; match it
-      // so the rebuilt image is byte-identical.
-      page.bump_update_count();
+      std::memset(frame, 0, page_size_);
+      SPF_RETURN_IF_ERROR(
+          btree_log::ReplayPageRecord(rec, PageView(frame, page_size_)));
       break;
     }
     case BackupKind::kNone:
@@ -106,23 +100,45 @@ Status SinglePageRecovery::ReplayChain(PageId id, const PriEntry& entry,
                                        char* frame,
                                        SinglePageRecoveryStats* acc) {
   PageView page(frame, page_size_);
-  Lsn backup_lsn = page.page_lsn();
-  Lsn target = entry.last_lsn;
-  if (target == kInvalidLsn || target <= backup_lsn) {
+  const Lsn backup_lsn = page.page_lsn();
+  Lsn cur = entry.last_lsn;
+  if (cur == kInvalidLsn || cur <= backup_lsn) {
     // Not updated since the backup — the image is current.
     return Status::OK();
   }
 
-  // Figure 10 steps 3-4: collect the chain on a LIFO stack (from the
-  // wired LogSource — tail walk, or tail walk + sorted-run probe), then
-  // pop and apply the redo actions.
+  // Figure 10 steps 3-4: collect the chain on a LIFO stack, then pop and
+  // apply the redo actions. The tail walk follows page_prev_lsn pointers
+  // down to the archive watermark, snapshot once: it only advances, so
+  // every record below it stays in some published run for the whole walk.
+  const Lsn archived_upto = archive_ != nullptr ? archive_->archived_upto() : 0;
   std::vector<LogRecord> stack;
-  LogSourceStats fetch;
-  SPF_RETURN_IF_ERROR(source_->FetchChain(id, backup_lsn, target, &stack,
-                                          &fetch));
-  acc->log_reads += fetch.log_reads;
-  acc->archive_reads += fetch.archive_reads;
-
+  while (cur != kInvalidLsn && cur > backup_lsn && cur >= archived_upto) {
+    SPF_ASSIGN_OR_RETURN(LogRecord rec, log_->Read(cur));
+    acc->log_reads++;
+    if (rec.page_id != id) {
+      return Status::Corruption("per-page chain contains foreign record");
+    }
+    cur = rec.page_prev_lsn;
+    stack.push_back(std::move(rec));
+  }
+  if (cur != kInvalidLsn && cur < backup_lsn) {
+    // The chain bypassed the backup LSN — inconsistent chain/backup pair.
+    return Status::Corruption("per-page chain does not reach the backup");
+  }
+  if (cur != kInvalidLsn && cur > backup_lsn) {
+    // The remainder (backup_lsn, cur] is entirely archived: follow it
+    // through the sorted runs, one positioned read per run it touches.
+    std::vector<ChainFetch> fetched;
+    SPF_ASSIGN_OR_RETURN(
+        uint64_t pages,
+        archive_->FetchChains({ChainRequest{id, backup_lsn, cur}}, &fetched));
+    acc->archive_reads += pages;
+    SPF_RETURN_IF_ERROR(fetched[0].status);
+    for (LogRecord& rec : fetched[0].newest_first) {
+      stack.push_back(std::move(rec));
+    }
+  }
   return ApplyChain(&stack, frame, acc);
 }
 
@@ -141,11 +157,7 @@ Status SinglePageRecovery::ApplyChain(std::vector<LogRecord>* chain,
                                 ", expected " +
                                 std::to_string(rec.page_prev_lsn) + ")");
     }
-    SPF_RETURN_IF_ERROR(btree_log::RedoBTreeRecord(rec, page));
-    page.set_page_lsn(rec.lsn);
-    // The live path bumps once per logged page record (AppendPageRecord);
-    // redo must do the same for the replayed image to be byte-identical.
-    page.bump_update_count();
+    SPF_RETURN_IF_ERROR(btree_log::ReplayPageRecord(rec, page));
     acc->log_records_applied++;
     acc->last_chain_length++;
   }

@@ -19,7 +19,7 @@
 // components (PRI, log, backups, device), so many repairs may run at
 // once. The cumulative counters are sharded by page id so concurrent
 // repairs do not serialize on one stats mutex; the RecoveryScheduler
-// drives the sharded pieces (LoadBackupImage / ReplayChain / FinishRepair)
+// drives the sharded pieces (LoadBackupImage / ApplyChain / FinishRepair)
 // directly when it repairs a whole batch of pages coordinately.
 
 #pragma once
@@ -35,7 +35,7 @@
 #include "common/sync.h"
 #include "core/pri_manager.h"
 #include "log/log_manager.h"
-#include "log/log_source.h"
+#include "log/log_archive.h"
 #include "storage/sim_device.h"
 
 namespace spf {
@@ -90,23 +90,29 @@ class SinglePageRecovery : public PageRepairer {
   Status LoadBackupImage(PageId id, const PriEntry& entry, char* frame,
                          SinglePageRecoveryStats* acc);
 
-  /// Steps 3-4: fetches the per-page chain from the wired LogSource and
-  /// replays it. With the default TailLogSource this is the serial
-  /// per-record random-read baseline; with an ArchiveLogSource the
-  /// archived prefix arrives as sequential run reads.
+  /// Steps 3-4: collects the per-page chain and replays it. The chain is
+  /// walked backward through the log tail, one random read per record,
+  /// down to the archive watermark; the archived remainder arrives from
+  /// one LogArchiver::FetchChains call. Without an archive wired in the
+  /// whole chain comes from the tail (the serial per-record baseline).
   Status ReplayChain(PageId id, const PriEntry& entry, char* frame,
                      SinglePageRecoveryStats* acc);
 
-  /// Rewires where chains come from (nullptr restores the built-in tail
-  /// walk). Call during database assembly, before repairs can run.
-  void SetLogSource(LogSource* source) {
-    source_ = source != nullptr ? source : default_source_.get();
-  }
+  /// Wires the sorted log archive in as the source of archived chain
+  /// history, for single-page repair (ReplayChain) and for the
+  /// RecoveryScheduler's cluster walks alike. nullptr (the default)
+  /// walks every chain through the log tail only. Call during database
+  /// assembly, before repairs can run; not thread-safe vs. in-flight
+  /// repairs.
+  void SetArchive(LogArchiver* archive) { archive_ = archive; }
+
+  /// The wired archive, or nullptr for tail-only chain walks.
+  LogArchiver* archive() const { return archive_; }
 
   /// Step 4 alone: pops a collected chain (newest-first LIFO) and applies
   /// the redo actions with the defensive redo-sequence check. Consumes
   /// `*chain`. Shared by ReplayChain and the scheduler's batched walk so
-  /// serial and batched repair can never diverge here.
+  /// per-page and batched repair can never diverge here.
   Status ApplyChain(std::vector<LogRecord>* chain, char* frame,
                     SinglePageRecoveryStats* acc);
 
@@ -149,8 +155,7 @@ class SinglePageRecovery : public PageRepairer {
   SimClock* const clock_;
   const uint32_t page_size_;
 
-  std::unique_ptr<TailLogSource> default_source_;
-  LogSource* source_;  // never null; defaults to default_source_
+  LogArchiver* archive_ = nullptr;  // archived chain history; null: tail only
 
   StatShard shards_[kStatShards];
   mutable OrderedMutex last_mu_{LockRank::kStats};  // last_* snapshot

@@ -89,11 +89,7 @@ Status MediaRecovery::RestoreSegment(
             " is not in the full backup and its replay does not start "
             "with a format record");
       }
-      SPF_RETURN_IF_ERROR(btree_log::RedoBTreeRecord(rec, page));
-      page.set_page_lsn(rec.lsn);
-      // Match the live path's per-record bump so the replayed image is
-      // byte-identical to the lost one.
-      page.bump_update_count();
+      SPF_RETURN_IF_ERROR(btree_log::ReplayPageRecord(rec, page));
       modified = true;
       final_lsn = rec.lsn;
       stats->redo_applied++;

@@ -275,11 +275,7 @@ Status RestartRecovery::Redo(RestartStats* stats) {
       }
     }
     guard.MarkDirtyForRedo(rec.lsn);
-    SPF_RETURN_IF_ERROR(btree_log::RedoBTreeRecord(rec, page));
-    page.set_page_lsn(rec.lsn);
-    // Match the live path's per-record bump so the redone image is
-    // byte-identical to the pre-crash one.
-    page.bump_update_count();
+    SPF_RETURN_IF_ERROR(btree_log::ReplayPageRecord(rec, page));
     stats->redo_applied++;
   }
 

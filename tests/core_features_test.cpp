@@ -7,8 +7,8 @@
 
 #include <cstring>
 
-#include "core/mirror_baseline.h"
-#include "core/page_versioning.h"
+#include "comparators/mirror_baseline.h"
+#include "comparators/page_versioning.h"
 #include "db/database.h"
 
 namespace spf {

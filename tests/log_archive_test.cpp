@@ -19,7 +19,6 @@
 #include "common/random.h"
 #include "db/database.h"
 #include "log/log_archive.h"
-#include "log/log_source.h"
 
 namespace spf {
 namespace {
@@ -136,7 +135,7 @@ TEST(LogArchiveTest, ArchiveRepairByteIdenticalToTailOnlyRepair) {
   SinglePageRecovery* spr = db->single_page_recovery();
 
   // Baseline: tail-only chain walk (one random log read per record).
-  spr->SetLogSource(nullptr);
+  spr->SetArchive(nullptr);
   ASSERT_TRUE(db->pool()->DiscardPage(p));
   db->data_device()->InjectSilentCorruption(p);
   std::vector<char> tail_repaired(page_size);
@@ -148,8 +147,7 @@ TEST(LogArchiveTest, ArchiveRepairByteIdenticalToTailOnlyRepair) {
   // the result must be byte-identical.
   ASSERT_TRUE(db->archiver()->ArchiveAll().ok());
   ASSERT_GT(db->archiver()->archived_upto(), 0u);
-  ArchiveLogSource archive_source(db->archiver(), db->log());
-  spr->SetLogSource(&archive_source);
+  spr->SetArchive(db->archiver());
   const uint64_t archive_reads_before = spr->stats().archive_reads;
 
   ASSERT_TRUE(db->pool()->DiscardPage(p));
@@ -163,7 +161,6 @@ TEST(LogArchiveTest, ArchiveRepairByteIdenticalToTailOnlyRepair) {
   EXPECT_EQ(std::memcmp(archive_repaired.data(), tail_repaired.data(),
                         page_size),
             0);
-  spr->SetLogSource(nullptr);  // archive_source dies with this scope
 }
 
 TEST(LogArchiveTest, MergeLadderBoundsRunCountAndKeepsTiling) {

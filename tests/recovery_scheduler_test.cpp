@@ -1,14 +1,15 @@
 // Tests for the batched RecoveryScheduler and the background Scrubber:
-// batched multi-page repair must be byte-identical to serial repair, must
-// read shared log segments instead of one random read per chain record,
-// must read only the archive runs that hold the burst's chains, and a
-// background sweep must heal cold-page faults no foreground read would
-// ever touch.
+// batched multi-page repair must be byte-identical to per-page repair —
+// also when one batch mixes backup sources — must read shared log
+// segments instead of one random read per chain record, must read only
+// the archive runs that hold the burst's chains, and a background sweep
+// must heal cold-page faults no foreground read would ever touch.
 
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cstring>
+#include <map>
 #include <set>
 #include <thread>
 #include <vector>
@@ -68,18 +69,15 @@ TEST(RecoverySchedulerTest, BatchedRepairMatchesSerialByteForByte) {
   auto db = MakeChainedDb(FastOptions(), &victims);
   ASSERT_GE(victims.size(), 8u);
 
-  // Serial baseline.
+  // Serial baseline: one RepairPage per page.
   CorruptAll(db.get(), victims);
-  db->recovery_scheduler()->set_batch_repair(false);
-  auto serial = db->RepairPages(victims);
-  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-  EXPECT_EQ(serial->repaired, victims.size());
-  EXPECT_EQ(serial->failed, 0u);
+  BatchRepairResult serial = bench::RepairEachPage(db.get(), victims);
+  EXPECT_EQ(serial.repaired, victims.size());
+  EXPECT_EQ(serial.failed, 0u);
   std::vector<std::string> serial_images = SnapshotPages(db.get(), victims);
 
   // Batched repair of the identical damage.
   CorruptAll(db.get(), victims);
-  db->recovery_scheduler()->set_batch_repair(true);
   auto batched = db->RepairPages(victims);
   ASSERT_TRUE(batched.ok()) << batched.status().ToString();
   EXPECT_EQ(batched->repaired, victims.size());
@@ -105,9 +103,8 @@ TEST(RecoverySchedulerTest, BatchReadsSharedSegmentsNotPerRecord) {
 
   // Serial baseline: one random log read per chain record.
   CorruptAll(db.get(), victims);
-  db->recovery_scheduler()->set_batch_repair(false);
   spr->ResetStats();
-  ASSERT_TRUE(db->RepairPages(victims).ok());
+  ASSERT_EQ(bench::RepairEachPage(db.get(), victims).failed, 0u);
   SinglePageRecoveryStats serial = spr->stats();
   ASSERT_EQ(serial.repairs_succeeded, victims.size());
   // Every page was updated after its backup, so chains are non-trivial
@@ -118,7 +115,6 @@ TEST(RecoverySchedulerTest, BatchReadsSharedSegmentsNotPerRecord) {
   // Batched: the same records must be applied, but the log is read in
   // shared segments — strictly fewer fetches than pages × chain_length.
   CorruptAll(db.get(), victims);
-  db->recovery_scheduler()->set_batch_repair(true);
   spr->ResetStats();
   db->recovery_scheduler()->ResetStats();
   ASSERT_TRUE(db->RepairPages(victims).ok());
@@ -189,10 +185,10 @@ TEST(RecoverySchedulerTest, SparseBurstReadsOnlyTheArchivedChains) {
       << "archive pages read per repaired page above 4";
 
   // Tail-only baseline: the same burst with no archive wired in.
-  db->recovery_scheduler()->SetArchive(nullptr);
+  db->single_page_recovery()->SetArchive(nullptr);
   CorruptAll(db.get(), victims);
   auto tail = db->RecoverPages(victims);
-  db->recovery_scheduler()->SetArchive(db->archiver());
+  db->single_page_recovery()->SetArchive(db->archiver());
   ASSERT_TRUE(tail.ok()) << tail.status().ToString();
   EXPECT_EQ(tail->repaired_single_page, victims.size());
   const std::vector<std::string> from_tail = SnapshotPages(db.get(), victims);
@@ -200,6 +196,100 @@ TEST(RecoverySchedulerTest, SparseBurstReadsOnlyTheArchivedChains) {
     EXPECT_EQ(from_archive[i], from_tail[i]) << "page " << victims[i];
     EXPECT_EQ(from_archive[i], live[i]) << "page " << victims[i];
   }
+}
+
+TEST(RecoverySchedulerTest, MixedSourceBatchMatchesPerPageRepair) {
+  // One batch whose pages load from every kind of source: the full
+  // backup, a per-page copy (the update threshold crossed after the
+  // backup), and the format record of a page born after the backup. Both
+  // batch entry points must rebuild every page byte-identically to a
+  // per-page RepairPage, and the full-backup pages must load in one
+  // sorted pass: one positioning on the disk backup device.
+  constexpr uint32_t kThreshold = 16;
+  constexpr int kMixedRecords = 2000;
+  DatabaseOptions o = FastOptions();
+  o.backup_profile = DeviceProfile::Hdd100();
+  o.backup_policy.updates_threshold = kThreshold;
+  auto db = bench::MakeLoadedDb(o, kMixedRecords);
+  // The flush copies every page the load pushed past the threshold and
+  // restarts its update count; the full backup then supersedes the copies.
+  ASSERT_TRUE(db->FlushAll().ok());
+  ASSERT_TRUE(db->TakeFullBackup().ok());
+  auto update = [&](int key, int times) {
+    for (int i = 0; i < times; ++i) {
+      Txn t = db->BeginTxn();
+      ASSERT_TRUE(t.Update(Key(key), "u" + std::to_string(i)).ok());
+      ASSERT_TRUE(t.Commit().ok());
+    }
+  };
+  // Full-backup pages with short chains.
+  for (int key = 100; key <= 700; key += 200) update(key, 2);
+  // A per-page copy, then a chain on top of it.
+  update(1500, kThreshold);
+  ASSERT_TRUE(db->FlushAll().ok());
+  update(1500, 3);
+  // Appends past the loaded range until the last leaf splits: the new
+  // leaf's only backup source is its format record. A few appends stay
+  // below the threshold, so it keeps that source.
+  const PageId last_leaf = *db->LeafPageOf(Key(kMixedRecords - 1));
+  int newest = kMixedRecords;
+  for (int after_split = 0; after_split < 3; ++newest) {
+    Txn t = db->BeginTxn();
+    ASSERT_TRUE(t.Insert(Key(newest), "new").ok());
+    ASSERT_TRUE(t.Commit().ok());
+    if (*db->LeafPageOf(Key(newest)) != last_leaf) after_split++;
+    ASSERT_LT(newest, 2 * kMixedRecords) << "the last leaf never split";
+  }
+  ASSERT_TRUE(db->FlushAll().ok());
+
+  std::set<PageId> victim_set;
+  for (int key = 100; key <= 700; key += 200) {
+    victim_set.insert(*db->LeafPageOf(Key(key)));
+  }
+  victim_set.insert(*db->LeafPageOf(Key(1500)));
+  victim_set.insert(*db->LeafPageOf(Key(newest - 1)));
+  std::vector<PageId> victims(victim_set.begin(), victim_set.end());
+  std::map<BackupKind, size_t> kinds;
+  for (PageId v : victims) {
+    auto entry = db->pri()->Lookup(v);
+    ASSERT_TRUE(entry.ok());
+    kinds[entry->backup.kind]++;
+  }
+  ASSERT_GE(kinds[BackupKind::kFullBackup], 2u);
+  ASSERT_EQ(kinds[BackupKind::kBackupPage], 1u);
+  ASSERT_GE(kinds[BackupKind::kFormatRecord], 1u);
+  const std::vector<std::string> live = SnapshotPages(db.get(), victims);
+
+  CorruptAll(db.get(), victims);
+  ASSERT_EQ(bench::RepairEachPage(db.get(), victims).failed, 0u);
+  const std::vector<std::string> per_page = SnapshotPages(db.get(), victims);
+  EXPECT_EQ(per_page, live);
+
+  // The full-backup pass costs one positioning, the per-page copy one more.
+  CorruptAll(db.get(), victims);
+  DeviceStats b0 = db->backup_device()->stats();
+  auto batch = db->recovery_scheduler()->RepairBatchNoEscalation(victims);
+  DeviceStats b1 = db->backup_device()->stats();
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  EXPECT_EQ(batch->repaired, victims.size());
+  EXPECT_EQ(b1.random_accesses - b0.random_accesses, 2u);
+  EXPECT_EQ(SnapshotPages(db.get(), victims), per_page);
+
+  auto backup = db->backups()->latest_full_backup();
+  ASSERT_TRUE(backup.has_value());
+  CorruptAll(db.get(), victims);
+  PartialRestoreBreakdown bd;
+  b0 = db->backup_device()->stats();
+  auto restore = db->recovery_scheduler()->RepairBatchFromBackup(
+      victims, backup->id, &bd);
+  b1 = db->backup_device()->stats();
+  ASSERT_TRUE(restore.ok()) << restore.status().ToString();
+  EXPECT_EQ(restore->repaired, victims.size());
+  EXPECT_EQ(bd.backup_runs, 1u);
+  EXPECT_EQ(bd.backup_pages_loaded, kinds[BackupKind::kFullBackup]);
+  EXPECT_EQ(bd.per_page_loads, victims.size() - bd.backup_pages_loaded);
+  EXPECT_EQ(b1.random_accesses - b0.random_accesses, 2u);
+  EXPECT_EQ(SnapshotPages(db.get(), victims), per_page);
 }
 
 TEST(RecoverySchedulerTest, EmptyAndDuplicateBatches) {
